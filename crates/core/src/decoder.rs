@@ -522,9 +522,9 @@ impl Decoder {
                     self.stats.raw += 1;
                 }
                 // Mirror the encoder's cache update procedure: store the
-                // packet, then index it with the tight non-allocating
-                // rolling loop (the decoder never scans for matches, so
-                // this single pass is its whole per-byte cost).
+                // packet, then index it (the decoder never scans for
+                // matches, so this single pass is its whole per-byte
+                // cost).
                 let pid = PacketId(u64::from(id));
                 self.core
                     .cache

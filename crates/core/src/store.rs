@@ -17,10 +17,14 @@
 //! Both indexes are open-addressing tables with linear probing:
 //!
 //! * the **fingerprint table** maps `fingerprint → (slot, generation,
-//!   offset)`. Entries are never individually deleted (matching the
-//!   paper's semantics, where an index entry simply stops resolving when
-//!   its packet leaves the store) — a lookup whose generation disagrees
-//!   with the slot's current generation is stale and reports a miss.
+//!   offset)`. An entry is not deleted when its packet leaves the store
+//!   (matching the paper's semantics, where an index entry simply stops
+//!   resolving) — a lookup whose generation disagrees with the slot's
+//!   current generation is stale and reports a miss. Stale entries are
+//!   reclaimed in bulk: when the table reaches its load limit it first
+//!   purges everything that no longer resolves and doubles only if the
+//!   live entries alone still crowd it, so its size follows the cache's
+//!   contents, not the count of fingerprints ever seen.
 //! * the **id table** maps `packet id → slot` and supports true deletion
 //!   (backward-shift, no tombstones) because ids are removed on every
 //!   eviction.
@@ -35,7 +39,7 @@ use bytes::Bytes;
 
 use bytecache_packet::{FlowId, SeqNum};
 use bytecache_rabin::sampler::Sampler;
-use bytecache_rabin::Fingerprinter;
+use bytecache_rabin::{Fingerprinter, LaneScratch};
 use bytecache_telemetry::{Event, EventKind, Recorder};
 
 use crate::config::DreConfig;
@@ -82,7 +86,11 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Packets evicted by the byte/packet budget.
     pub evictions: u64,
-    /// Fingerprint index insertions that replaced an existing entry.
+    /// Fingerprint index insertions that found the key already in the
+    /// table. A stale entry (its packet gone) still counts until the
+    /// table's next purge drops it, so this counter — alone among the
+    /// cache's — depends on when the table last reclaimed space and may
+    /// differ between two builds whose wire output is identical.
     pub replacements: u64,
     /// Full flushes.
     pub flushes: u64,
@@ -200,8 +208,20 @@ struct SlotRef {
     gen: u32,
 }
 
+/// The packet a handle points at, if it is still the one stored there.
+#[inline]
+fn resolve(arena: &[Slot], slot: SlotRef) -> Option<&SlotData> {
+    let s = arena.get(slot.index as usize)?;
+    if s.gen != slot.gen {
+        return None; // stale: the packet left the store
+    }
+    s.data.as_ref()
+}
+
 /// Bucketized open-addressing `fingerprint → (slot, gen, offset)` table
-/// with no per-entry deletion (cleared only on flush/grow).
+/// with no per-entry deletion: space is reclaimed in bulk, by
+/// [`clear`](Self::clear) on a flush and by [`grow`](Self::grow)'s purge
+/// of entries whose packet has left the store.
 ///
 /// Keys and values live in *separate* arrays (SoA): a probe chain walks
 /// only the packed 8-byte key words, and the value array is touched
@@ -216,6 +236,19 @@ struct SlotRef {
 /// cache footprint is what bounds single-shard encode throughput, and
 /// [`FpTable::prefetch`] lets the batched scan pull a candidate's key
 /// line while earlier probes resolve.
+///
+/// # Sizing
+///
+/// Every whole-table cost is proportional to what the table holds, not
+/// to the cache's configured budget. A table starts at 1024 slots and
+/// grows on demand, so a gateway that lives for one 587 KB download
+/// keeps a table that fits in L2 instead of spraying probes over one
+/// sized for 32 MiB. `clear` zeroes a dense table in place and replaces
+/// a sparse one with a table sized for what it held, so a policy that
+/// flushes every few packets pays kilobytes per flush. And when the
+/// load limit is reached, stale entries go first: the table is bounded
+/// by a constant factor of the *live* fingerprints however much
+/// distinct traffic has passed through.
 #[derive(Debug)]
 struct FpTable {
     /// `fp | TAG` for occupied slots, 0 for empty ones. Fingerprints
@@ -227,6 +260,8 @@ struct FpTable {
     /// log2 of the number of bucket groups (slot count = groups × GROUP).
     log2_groups: u32,
     len: usize,
+    /// [`grow`](Self::grow) passes run over the table's lifetime.
+    rehashes: u64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -238,62 +273,42 @@ struct FpValue {
 impl FpTable {
     /// Slots per bucket group: 8 × 8-byte keys = one 64-byte cache line.
     const GROUP: usize = 8;
-    /// 128 initial groups = 1024 slots, the previous flat-table size.
+    /// 128 initial groups = 1024 slots (20 KiB).
     const INITIAL_LOG2_GROUPS: u32 = 7;
-    /// Upper clamp on the budget-derived initial size: 2^17 groups =
-    /// 1 Mi slots ≈ 20 MiB of table. The default 32 MiB payload budget
-    /// at `sample_bits = 4` implies ~2 M steady-state entries, so the
-    /// clamp still under-sizes the true steady state (growth handles
-    /// the rest); it bounds the eager allocation a short-lived
-    /// encoder — a sim node, a test — pays at construction.
-    const MAX_INITIAL_LOG2_GROUPS: u32 = 17;
     /// Occupancy tag on key words (bit 63; fingerprints fit in 53 bits).
     const TAG: u64 = 1 << 63;
 
-    /// Minimal table at the un-budgeted initial size (tests exercise
-    /// growth from here; production tables start from
-    /// [`for_budget`](Self::for_budget)).
-    #[cfg(test)]
     fn new() -> Self {
-        Self::with_log2_groups(Self::INITIAL_LOG2_GROUPS)
-    }
-
-    /// Table pre-sized for its steady state. A cache holding
-    /// `byte_budget` payload bytes indexes about `byte_budget >>
-    /// sample_bits` fingerprints (the sampler admits one window per
-    /// 2^sample_bits positions in expectation), and the table never
-    /// shrinks, so every long-lived encoder reaches that size anyway.
-    /// Allocating it up front removes the doubling rehashes from the
-    /// hot path — each one re-inserts every live key, and the cumulative
-    /// rehash work (~1.5 re-inserts per net insert) was the single
-    /// largest per-candidate cost in the batched profile. Clamped so
-    /// small sim configs stay small and the default 32 MiB budget costs
-    /// at most ~5 MiB of table per cache.
-    fn for_budget(byte_budget: usize, sample_bits: u32) -> Self {
-        let entries = byte_budget >> sample_bits.min(63);
-        // Groups sized for a 3/4 load factor at `entries`.
-        let groups = (entries / Self::GROUP).saturating_mul(4) / 3;
-        let log2 = (groups.max(1).ilog2() + 1)
-            .clamp(Self::INITIAL_LOG2_GROUPS, Self::MAX_INITIAL_LOG2_GROUPS);
-        Self::with_log2_groups(log2)
-    }
-
-    #[allow(clippy::slow_vector_initialization)] // the "slow" path is the point: see below
-    fn with_log2_groups(log2_groups: u32) -> Self {
-        let slots = (1usize << log2_groups) * Self::GROUP;
-        // Build the key array with an explicit resize (a real memset)
-        // rather than `vec![0; n]`: the latter takes the zeroed-alloc
-        // fast path, whose pages are mapped lazily and would be
-        // first-touch-faulted from inside the probe hot loop instead of
-        // here at construction.
-        let mut keys = Vec::with_capacity(slots);
-        keys.resize(slots, 0);
+        let slots = Self::GROUP << Self::INITIAL_LOG2_GROUPS;
         FpTable {
-            keys,
+            keys: vec![0; slots],
             vals: vec![FpValue::default(); slots],
-            log2_groups,
+            log2_groups: Self::INITIAL_LOG2_GROUPS,
             len: 0,
+            rehashes: 0,
         }
+    }
+
+    /// Swap in fresh, empty arrays of `2^log2_groups` groups and hand
+    /// back the old ones.
+    fn reset_to(&mut self, log2_groups: u32) -> (Vec<u64>, Vec<FpValue>) {
+        let slots = Self::GROUP << log2_groups;
+        self.log2_groups = log2_groups;
+        self.len = 0;
+        (
+            std::mem::replace(&mut self.keys, vec![0; slots]),
+            std::mem::replace(&mut self.vals, vec![FpValue::default(); slots]),
+        )
+    }
+
+    /// Smallest size that holds `entries` at no more than half the load
+    /// limit — the occupancy a doubling leaves behind, so a table sized
+    /// here takes as many further inserts as it holds before it next
+    /// has to make room.
+    fn log2_groups_for(entries: usize) -> u32 {
+        // entries / slots ≤ 3/8 with slots = 8 × groups.
+        let groups = entries.div_ceil(3).max(1).next_power_of_two();
+        groups.ilog2().max(Self::INITIAL_LOG2_GROUPS)
     }
 
     /// Home bucket group of a fingerprint. The Fibonacci multiply mixes
@@ -321,27 +336,34 @@ impl FpTable {
     }
 
     /// Insert or overwrite; returns `true` when the key already existed
-    /// (the paper's replacement event).
-    fn insert(&mut self, fp: u64, slot: SlotRef, offset: u16) -> bool {
+    /// (the paper's replacement event). `arena` is the packet arena the
+    /// handles point into: at the load limit, entries it no longer
+    /// resolves are dropped before the table is allowed to grow.
+    fn insert(&mut self, fp: u64, slot: SlotRef, offset: u16, arena: &[Slot]) -> bool {
         debug_assert_eq!(fp & Self::TAG, 0, "fingerprints are 53-bit");
         if (self.len + 1) * 4 > self.keys.len() * 3 {
-            self.grow();
+            self.grow(arena);
         }
+        self.put(fp | Self::TAG, FpValue { slot, offset })
+    }
+
+    /// Place a tagged key in the first free slot of its probe chain, or
+    /// overwrite it where it sits. The caller guarantees a free slot.
+    fn put(&mut self, key: u64, val: FpValue) -> bool {
         let gmask = (1usize << self.log2_groups) - 1;
-        let key = fp | Self::TAG;
-        let mut g = self.group(fp);
+        let mut g = self.group(key & !Self::TAG);
         loop {
             let base = g * Self::GROUP;
             for i in base..base + Self::GROUP {
                 let k = self.keys[i];
                 if k == 0 {
                     self.keys[i] = key;
-                    self.vals[i] = FpValue { slot, offset };
+                    self.vals[i] = val;
                     self.len += 1;
                     return false;
                 }
                 if k == key {
-                    self.vals[i] = FpValue { slot, offset };
+                    self.vals[i] = val;
                     return true;
                 }
             }
@@ -369,17 +391,62 @@ impl FpTable {
         }
     }
 
-    fn grow(&mut self) {
-        let slots = (1usize << (self.log2_groups + 1)) * Self::GROUP;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; slots]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![FpValue::default(); slots]);
-        self.log2_groups += 1;
+    /// Make room at the load limit: purge what `arena` no longer
+    /// resolves, then double only if the live entries alone still hold
+    /// more than half the limit. Either way the table is at most 3/8
+    /// full afterwards, so inserts numbering 3/8 of its slots pay for
+    /// the next O(slots) pass, and it stays within a constant factor of
+    /// its live entries — without the purge it grew with every distinct
+    /// fingerprint ever seen, as each doubling re-inserted the stale
+    /// ones. A purged key already read as a miss, so lookups cannot
+    /// tell.
+    fn grow(&mut self, arena: &[Slot]) {
+        self.rehashes += 1;
+        self.purge(arena);
+        if self.len * 8 > self.keys.len() * 3 {
+            self.rehash_into(self.log2_groups + 1);
+        }
+    }
+
+    /// Drop every entry whose handle `arena` no longer resolves — its
+    /// packet was evicted, or it is a `u32::MAX` shadow handle that
+    /// never resolved — compacting the survivors in place.
+    ///
+    /// Group-linear probing is linear probing over slots from the home
+    /// group's first slot, so a key may sit anywhere between its home
+    /// and the first empty slot after it. Walking the slots in probe
+    /// order from just past an empty one, lifting each entry out and
+    /// putting the live ones back, lands every survivor between its
+    /// home and the slot it came from: the slots before it are final,
+    /// the one it left is free, and no chain spans the starting gap.
+    /// The pass is sequential over the table and allocates nothing.
+    fn purge(&mut self, arena: &[Slot]) {
+        let Some(start) = self.keys.iter().position(|&k| k == 0) else {
+            return; // unreachable below the load limit
+        };
+        let mask = self.keys.len() - 1;
         self.len = 0;
+        for step in 1..=mask {
+            let i = (start + step) & mask;
+            let key = self.keys[i];
+            if key == 0 {
+                continue;
+            }
+            self.keys[i] = 0;
+            let val = self.vals[i];
+            if resolve(arena, val.slot).is_some() {
+                self.put(key, val);
+            }
+        }
+    }
+
+    /// Move every entry into fresh arrays of `2^log2_groups` groups.
+    fn rehash_into(&mut self, log2_groups: u32) {
+        let (old_keys, old_vals) = self.reset_to(log2_groups);
         // The rehash reads the old arrays sequentially (hardware
-        // prefetch handles those) but writes the new, larger-than-LLC
-        // table at random groups; issuing each key's target-group
-        // prefetch a few iterations early hides most of those misses —
-        // the rehash is the bulk of the amortized insert cost.
+        // prefetch handles those) but writes the new table at random
+        // groups; issuing each key's target-group prefetch a few
+        // iterations early hides most of those misses.
         const AHEAD: usize = 16;
         for i in 0..old_keys.len() {
             if let Some(&k) = old_keys.get(i + AHEAD) {
@@ -389,20 +456,26 @@ impl FpTable {
             }
             let k = old_keys[i];
             if k != 0 {
-                let v = old_vals[i];
-                self.insert(k & !Self::TAG, v.slot, v.offset);
+                self.put(k, old_vals[i]);
             }
         }
     }
 
-    /// Drop every entry but keep the allocation and size: the table is
-    /// pre-sized for its steady state (see [`for_budget`]
-    /// (Self::for_budget)), and a flush-heavy policy would otherwise
-    /// re-pay the growth rehashes after every flush. Only the key words
-    /// gate occupancy, so the value array need not be touched.
+    /// Drop every entry, at a cost proportional to how many there were.
+    /// A dense table is zeroed in place (only the key words gate
+    /// occupancy, so the value array is not touched) and keeps its
+    /// size, so a flush-heavy policy does not re-pay the growth
+    /// rehashes every epoch. A sparse one — more than 16 slots per
+    /// entry held — is replaced by a table sized for what it held:
+    /// zeroing megabytes to forget the 30 packets since the last flush
+    /// was the largest single cost of the Cache Flush policy.
     fn clear(&mut self) {
-        self.keys.fill(0);
-        self.len = 0;
+        if self.keys.len() > 16 * self.len.max(64) {
+            self.reset_to(Self::log2_groups_for(self.len));
+        } else {
+            self.keys.fill(0);
+            self.len = 0;
+        }
     }
 }
 
@@ -535,6 +608,32 @@ impl IdTable {
     }
 }
 
+/// The one fingerprint-insert loop: file `sampled` under `slot`, in
+/// order, with the same lookahead prefetching as the batched scan's
+/// probe loop — the candidates are random fingerprints, so nearly every
+/// insert opens a cold group of a table that has outgrown the CPU cache
+/// unless its lines are already in flight.
+fn insert_sampled(
+    table: &mut FpTable,
+    arena: &[Slot],
+    stats: &mut CacheStats,
+    slot: SlotRef,
+    sampled: &[(u16, u64)],
+) {
+    const AHEAD: usize = 8;
+    for &(_, fp) in sampled.iter().take(AHEAD) {
+        table.prefetch(fp);
+    }
+    for (i, &(offset, fp)) in sampled.iter().enumerate() {
+        if let Some(&(_, next_fp)) = sampled.get(i + AHEAD) {
+            table.prefetch(next_fp);
+        }
+        if table.insert(fp, slot, offset, arena) {
+            stats.replacements += 1;
+        }
+    }
+}
+
 /// Packet store + fingerprint index under one budget.
 #[derive(Debug)]
 pub struct Cache {
@@ -553,6 +652,10 @@ pub struct Cache {
     flow_counters: FlowMap,
     stats: CacheStats,
     telemetry: Recorder,
+    /// Reused by [`index_payload`](Self::index_payload): the scan
+    /// kernel's lane buffers and the sampled pairs it emits.
+    lanes: LaneScratch,
+    sampled: Vec<(u16, u64)>,
 }
 
 impl Cache {
@@ -564,7 +667,7 @@ impl Cache {
             free: Vec::new(),
             order: VecDeque::new(),
             ids: IdTable::new(),
-            fingerprints: FpTable::for_budget(config.cache_bytes, config.sample_bits),
+            fingerprints: FpTable::new(),
             bytes_used: 0,
             byte_budget: config.cache_bytes,
             max_packets: config.max_packets,
@@ -573,6 +676,8 @@ impl Cache {
             flow_counters: FlowMap::default(),
             stats: CacheStats::default(),
             telemetry: Recorder::disabled(),
+            lanes: LaneScratch::default(),
+            sampled: Vec::new(),
         }
     }
 
@@ -616,6 +721,9 @@ impl Cache {
         rec.count("cache.index_skips", self.stats.index_skips);
         rec.gauge("cache.bytes_used", self.bytes_used as u64);
         rec.gauge("cache.entries", self.live as u64);
+        rec.gauge("cache.fp_slots", self.fingerprints.keys.len() as u64);
+        rec.gauge("cache.fp_entries", self.fingerprints.len as u64);
+        rec.count("cache.fp_rehashes", self.fingerprints.rehashes);
         rec
     }
 
@@ -758,119 +866,108 @@ impl Cache {
                 gen: self.slots[index as usize].gen,
             },
         );
-        if self.fingerprints.insert(fingerprint, slot, offset) {
+        if self
+            .fingerprints
+            .insert(fingerprint, slot, offset, &self.slots)
+        {
             self.stats.replacements += 1;
         }
     }
 
-    /// Run the paper's *cache update procedure* for packet `id`: slide
-    /// the window over its payload and index every sampled fingerprint.
-    ///
-    /// This is the tight single-purpose indexing loop used by the
-    /// decoder (which never scans for matches) and by the encoder's
-    /// legacy two-pass mode; the encoder's fused path feeds
-    /// [`index_sampled`](Self::index_sampled) instead and skips the
-    /// re-fingerprinting entirely.
-    ///
+    /// The handle indexing passes file packet `id`'s fingerprints under.
     /// If `id` is no longer stored — a payload larger than the cache
     /// budget is evicted by its own insert, and a peer can evict a
     /// packet between store and index under divergence repair — the
     /// pass is skipped and counted (`skipped`, `CacheStats.index_skips`)
     /// rather than aborting the shard.
+    fn index_target(&mut self, id: PacketId) -> Result<SlotRef, IndexOutcome> {
+        let Some(index) = self.ids.get(id.0) else {
+            self.stats.index_skips += 1;
+            return Err(IndexOutcome {
+                skipped: 1,
+                ..IndexOutcome::default()
+            });
+        };
+        Ok(SlotRef {
+            index,
+            gen: self.slots[index as usize].gen,
+        })
+    }
+
+    /// Run the paper's *cache update procedure* for packet `id`: slide
+    /// the window over its payload and index every sampled fingerprint.
+    ///
+    /// This is the decoder's whole per-byte cost (it never scans for
+    /// matches), and the path of state import, the encoder's legacy
+    /// two-pass mode and policy-suppressed packets. It rolls the payload
+    /// through the same multi-lane kernel as the encoder's batched scan
+    /// ([`Fingerprinter::scan_sampled_batched`]) and files the pairs
+    /// through the same insert loop as [`index_sampled`]
+    /// (Self::index_sampled), which the encoder's scanning modes feed
+    /// directly to skip the re-fingerprinting.
+    ///
+    /// A packet that is no longer stored is skipped and counted, not
+    /// indexed.
     pub fn index_payload(
         &mut self,
         engine: &Fingerprinter,
         sampler: &Sampler,
         id: PacketId,
     ) -> IndexOutcome {
-        let Some(index) = self.ids.get(id.0) else {
-            self.stats.index_skips += 1;
-            return IndexOutcome {
-                skipped: 1,
-                ..IndexOutcome::default()
-            };
+        let slot = match self.index_target(id) {
+            Ok(slot) => slot,
+            Err(skipped) => return skipped,
         };
-        let slot = SlotRef {
-            index,
-            gen: self.slots[index as usize].gen,
-        };
-        // Split borrows: read the payload out of the arena while writing
-        // the fingerprint table — no payload copy, no allocation.
-        let (slots, fingerprints, stats) = (&self.slots, &mut self.fingerprints, &mut self.stats);
-        let payload = &slots[index as usize]
+        // Split borrows: read the payload out of the arena while the
+        // kernel fills the scratch — no payload copy, no allocation.
+        let payload: &[u8] = &self.slots[slot.index as usize]
             .data
             .as_ref()
             .expect("live slot")
             .stored
             .payload;
-        let mut out = IndexOutcome::default();
-        let payload: &[u8] = payload;
-        let Some(mut fp) = engine.prime(payload) else {
-            return out;
-        };
-        let w = engine.window_size();
-        let mut pos = 0usize;
-        // Iterator-driven roll: the zip carries the (outgoing, incoming)
-        // byte pairs without per-step bounds checks.
-        let mut roll_bytes = payload.iter().zip(payload[w..].iter());
-        loop {
-            if sampler.selects(fp) {
-                out.sampled += 1;
-                out.insertions += 1;
-                if fingerprints.insert(fp, slot, pos as u16) {
-                    stats.replacements += 1;
-                }
-            }
-            match roll_bytes.next() {
-                Some((&outgoing, &incoming)) => {
-                    fp = engine.roll(fp, outgoing, incoming);
-                    pos += 1;
-                }
-                None => break,
-            }
+        let sampled = &mut self.sampled;
+        sampled.clear();
+        engine.scan_sampled_batched(payload, sampler, &mut self.lanes, |pos, fp| {
+            sampled.push((pos as u16, fp));
+        });
+        let windows = (payload.len() + 1).saturating_sub(engine.window_size()) as u64;
+        insert_sampled(
+            &mut self.fingerprints,
+            &self.slots,
+            &mut self.stats,
+            slot,
+            sampled,
+        );
+        IndexOutcome {
+            windows,
+            sampled: sampled.len() as u64,
+            insertions: sampled.len() as u64,
+            skipped: 0,
         }
-        out.windows = (payload.len() - w + 1) as u64;
-        out
     }
 
     /// Index packet `id` from fingerprints already sampled by the
-    /// encoder's fused scan: insert each `(offset, fingerprint)` pair,
-    /// in order, under the packet's slot. Produces exactly the
+    /// encoder's scan: insert each `(offset, fingerprint)` pair, in
+    /// order, under the packet's slot. Produces exactly the
     /// fingerprint-table state [`index_payload`](Self::index_payload)
     /// would — the pairs are the sampled windows of the payload in
     /// increasing offset order — without touching the payload again.
     ///
-    /// If `id` is no longer stored (see [`index_payload`]
-    /// (Self::index_payload)), the pass is skipped and counted rather
-    /// than aborting the shard.
+    /// A packet that is no longer stored is skipped and counted, not
+    /// indexed.
     pub fn index_sampled(&mut self, id: PacketId, sampled: &[(u16, u64)]) -> IndexOutcome {
-        let Some(index) = self.ids.get(id.0) else {
-            self.stats.index_skips += 1;
-            return IndexOutcome {
-                skipped: 1,
-                ..IndexOutcome::default()
-            };
+        let slot = match self.index_target(id) {
+            Ok(slot) => slot,
+            Err(skipped) => return skipped,
         };
-        let slot = SlotRef {
-            index,
-            gen: self.slots[index as usize].gen,
-        };
-        // Insert with the same lookahead prefetching as the batched
-        // scan's probe loop: the candidates are random fingerprints, so
-        // nearly every insert opens a cold group in a larger-than-LLC
-        // table unless its lines are already in flight.
-        const AHEAD: usize = 8;
-        for &(_, fp) in sampled.iter().take(AHEAD) {
-            self.fingerprints.prefetch(fp);
-        }
-        for (i, &(offset, fp)) in sampled.iter().enumerate() {
-            if let Some(&(_, next_fp)) = sampled.get(i + AHEAD) {
-                self.fingerprints.prefetch(next_fp);
-            }
-            if self.fingerprints.insert(fp, slot, offset) {
-                self.stats.replacements += 1;
-            }
-        }
+        insert_sampled(
+            &mut self.fingerprints,
+            &self.slots,
+            &mut self.stats,
+            slot,
+            sampled,
+        );
         IndexOutcome {
             insertions: sampled.len() as u64,
             ..IndexOutcome::default()
@@ -910,14 +1007,6 @@ impl Cache {
         }
     }
 
-    fn resolve(&self, slot: SlotRef) -> Option<&SlotData> {
-        let s = self.slots.get(slot.index as usize)?;
-        if s.gen != slot.gen {
-            return None; // stale: the packet left the store
-        }
-        s.data.as_ref()
-    }
-
     /// Look up a fingerprint: the stored packet it points to (if that
     /// packet is still resident) and the window offset within it.
     #[must_use]
@@ -932,7 +1021,7 @@ impl Cache {
     #[must_use]
     pub fn lookup_entry(&self, fingerprint: u64) -> Option<(PacketId, u16, &Stored, bool)> {
         let (slot, offset) = self.fingerprints.get(fingerprint)?;
-        let data = self.resolve(slot)?;
+        let data = resolve(&self.slots, slot)?;
         Some((data.id, offset, &data.stored, data.dead))
     }
 
@@ -955,7 +1044,7 @@ impl Cache {
     pub fn iter_in_order(&self) -> impl Iterator<Item = (PacketId, &Stored)> + '_ {
         self.order
             .iter()
-            .filter_map(|&slot| self.resolve(slot).map(|data| (data.id, &data.stored)))
+            .filter_map(|&slot| resolve(&self.slots, slot).map(|data| (data.id, &data.stored)))
     }
 
     /// Mark a packet as lost at the peer (informed marking): it will be
@@ -1008,6 +1097,50 @@ mod tests {
 
     fn cache() -> Cache {
         Cache::new(&DreConfig::default())
+    }
+
+    /// A stand-in packet arena of `n` occupied slots at generation 0,
+    /// for driving [`FpTable`] without a [`Cache`] around it.
+    fn arena(n: usize) -> Vec<Slot> {
+        (0..n)
+            .map(|i| Slot {
+                gen: 0,
+                data: Some(SlotData {
+                    id: PacketId(i as u64),
+                    stored: Stored {
+                        payload: Bytes::new(),
+                        meta: EntryMeta {
+                            flow: flow(),
+                            seq: SeqNum::new(0),
+                            seq_end: SeqNum::new(0),
+                            flow_index: 0,
+                        },
+                    },
+                    dead: false,
+                }),
+            })
+            .collect()
+    }
+
+    /// Deterministic incompressible bytes (xorshift64*).
+    fn fresh_bytes(state: &mut u64, len: usize) -> Bytes {
+        (0..len)
+            .map(|_| {
+                *state ^= *state >> 12;
+                *state ^= *state << 25;
+                *state ^= *state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect::<Vec<u8>>()
+            .into()
+    }
+
+    /// Entries of the cache's fingerprint table that still resolve.
+    fn live_fingerprints(c: &Cache) -> usize {
+        let t = &c.fingerprints;
+        (0..t.keys.len())
+            .filter(|&i| t.keys[i] != 0 && resolve(&c.slots, t.vals[i].slot).is_some())
+            .count()
     }
 
     #[test]
@@ -1291,6 +1424,7 @@ mod tests {
         // its latest value, including keys displaced into later groups.
         let mut t = FpTable::new();
         let n = 6000u64;
+        let arena = arena(n as usize);
         for i in 0..n {
             let fp = i.wrapping_mul(0x9E37_79B9) & ((1 << 53) - 1);
             t.prefetch(fp); // exercise the hint path; must be a no-op
@@ -1298,7 +1432,10 @@ mod tests {
                 index: i as u32,
                 gen: 0,
             };
-            assert!(!t.insert(fp, slot, (i % 1000) as u16), "fresh key {i}");
+            assert!(
+                !t.insert(fp, slot, (i % 1000) as u16, &arena),
+                "fresh key {i}"
+            );
         }
         for i in 0..n {
             let fp = i.wrapping_mul(0x9E37_79B9) & ((1 << 53) - 1);
@@ -1308,10 +1445,158 @@ mod tests {
         // Overwrites report the replacement and win the lookup.
         let fp0 = 0u64;
         let slot = SlotRef { index: 99, gen: 3 };
-        assert!(t.insert(fp0, slot, 77));
+        assert!(t.insert(fp0, slot, 77, &arena));
         let (s, off) = t.get(fp0).unwrap();
         assert_eq!((s.index, s.gen, off), (99, 3, 77));
         assert!(t.get(0xDEAD_BEEF_CAFE).is_none());
+    }
+
+    #[test]
+    fn index_payload_matches_the_scalar_reference_at_every_length() {
+        // Lengths cover: shorter than the window, exactly one window,
+        // the kernel's `8 × window` scalar-fallback boundary, and every
+        // remainder the four stripes can be left with.
+        let config = DreConfig::default();
+        let engine = Fingerprinter::new(Polynomial::default(), config.window);
+        let sampler = Sampler::new(config.sample_bits);
+        let mut seed = 0x5EED_u64;
+        for len in 0..=2048usize {
+            let data = fresh_bytes(&mut seed, len);
+            let reference: Vec<(usize, u64)> = engine
+                .windows(&data)
+                .filter(|&(_, fp)| sampler.selects(fp))
+                .collect();
+            // Cache A: the product path. Cache B: the reference pairs,
+            // one `index_fingerprint` at a time.
+            let mut a = Cache::new(&config);
+            let ida = a.insert(data.clone(), flow(), SeqNum::new(0));
+            let outcome = a.index_payload(&engine, &sampler, ida);
+            let mut b = Cache::new(&config);
+            let idb = b.insert(data.clone(), flow(), SeqNum::new(0));
+            for &(off, fp) in &reference {
+                b.index_fingerprint(fp, idb, off as u16);
+            }
+            assert_eq!(
+                outcome,
+                IndexOutcome {
+                    windows: (len + 1).saturating_sub(config.window) as u64,
+                    sampled: reference.len() as u64,
+                    insertions: reference.len() as u64,
+                    skipped: 0,
+                },
+                "outcome at len {len}"
+            );
+            assert_eq!(
+                a.fingerprints.len, b.fingerprints.len,
+                "entries at len {len}"
+            );
+            for &(_, fp) in &reference {
+                let (pa, oa, _) = a.lookup(fp).expect("indexed by index_payload");
+                let (pb, ob, _) = b.lookup(fp).expect("indexed by the reference");
+                assert_eq!((pa, oa), (pb, ob), "fp {fp:#x} at len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_cache_starts_with_a_minimal_table() {
+        // The default config budgets 32 MiB of payload; the table must
+        // not be sized for it before anything is stored.
+        assert!(cache().fingerprints.keys.len() <= 1024);
+    }
+
+    #[test]
+    fn flush_cost_follows_what_the_table_held() {
+        let config = DreConfig::default();
+        let engine = Fingerprinter::new(Polynomial::default(), config.window);
+        let sampler = Sampler::new(config.sample_bits);
+        let mut c = Cache::new(&config);
+        let mut seed = 7u64;
+        let mut feed = |c: &mut Cache, packets: usize| {
+            for _ in 0..packets {
+                let id = c.insert(fresh_bytes(&mut seed, 1400), flow(), SeqNum::new(0));
+                c.index_payload(&engine, &sampler, id);
+            }
+        };
+        feed(&mut c, 750); // ~1 MiB
+        let grown = c.fingerprints.keys.len();
+        assert!(grown >= 64 * 1024, "1 MiB indexes ~65k fingerprints");
+        // A dense table is zeroed in place: the next epoch of the same
+        // size re-pays no growth.
+        c.flush();
+        assert_eq!(c.fingerprints.keys.len(), grown);
+        assert_eq!(c.fingerprints.len, 0);
+        // 30 packets later the table is sparse, and the flush swaps it
+        // for one sized for those 30 packets.
+        feed(&mut c, 30);
+        let held = c.fingerprints.len;
+        c.flush();
+        let slots = c.fingerprints.keys.len();
+        assert!(slots <= 16 * 1024, "{slots} slots after holding {held}");
+        assert!(slots * 3 >= held * 8, "room for a like-sized epoch");
+        assert_eq!(c.stats().flushes, 2);
+    }
+
+    #[test]
+    fn no_stale_hit_across_a_flush() {
+        // After a flush the arena restarts at slot 0, generation 0, so a
+        // surviving table entry would resolve to whatever lands there
+        // next. Check both ways `clear` empties the table.
+        for sparse in [false, true] {
+            let mut c = cache();
+            let a = c.insert(Bytes::from_static(b"before"), flow(), SeqNum::new(0));
+            c.index_fingerprint(0xABC0, a, 1);
+            if sparse {
+                // Grow the table well past 16 slots per entry held, then
+                // empty it in place so the next clear sees it sparse.
+                for i in 0..4000u64 {
+                    c.index_fingerprint((i + 1) << 20, a, 0);
+                }
+                c.flush();
+                let a = c.insert(Bytes::from_static(b"before"), flow(), SeqNum::new(0));
+                c.index_fingerprint(0xABC0, a, 1);
+                assert!(c.fingerprints.keys.len() > 16 * 64);
+            }
+            c.flush();
+            let b = c.insert(Bytes::from_static(b"after!"), flow(), SeqNum::new(6));
+            assert!(c.lookup(0xABC0).is_none(), "sparse={sparse}");
+            c.index_fingerprint(0xABC0, b, 2);
+            let (id, off, stored) = c.lookup(0xABC0).unwrap();
+            assert_eq!((id, off, &stored.payload[..]), (b, 2, &b"after!"[..]));
+        }
+    }
+
+    #[test]
+    fn table_is_bounded_by_live_content_not_by_traffic_seen() {
+        // 16 × the cache's budget of never-repeating payload. Entries
+        // are not deleted on eviction, so without the purge in `grow`
+        // the table ends sized for every fingerprint that ever passed.
+        let config = DreConfig {
+            cache_bytes: 256 * 1024,
+            ..DreConfig::default()
+        };
+        let engine = Fingerprinter::new(Polynomial::default(), config.window);
+        let sampler = Sampler::new(config.sample_bits);
+        let mut c = Cache::new(&config);
+        let mut seed = 99u64;
+        let mut fed = 0usize;
+        while fed < 16 * config.cache_bytes {
+            let id = c.insert(fresh_bytes(&mut seed, 1400), flow(), SeqNum::new(0));
+            c.index_payload(&engine, &sampler, id);
+            fed += 1400;
+        }
+        let live = live_fingerprints(&c);
+        let slots = c.fingerprints.keys.len();
+        assert!(live > 10_000, "a full 256 KiB cache indexes ~16k windows");
+        assert!(slots <= 8 * live, "{slots} slots for {live} live");
+        assert!(c.fingerprints.rehashes > 0);
+        // Every live packet's windows still resolve to it.
+        let (id, stored) = c.iter_in_order().last().expect("non-empty");
+        for (off, fp) in engine.windows(&stored.payload) {
+            if sampler.selects(fp) {
+                assert_eq!(c.lookup(fp).map(|(p, o, _)| (p, o)), Some((id, off as u16)));
+            }
+        }
     }
 
     proptest::proptest! {
@@ -1348,6 +1633,78 @@ mod tests {
                 proptest::prop_assert_eq!(table.get(key), model.get(&key).copied(), "key {}", key);
             }
             proptest::prop_assert_eq!(table.len, model.len());
+        }
+
+        /// The FpTable agrees with a HashMap model under random insert /
+        /// get / clear / forced-grow interleavings while packets come
+        /// and go in a stand-in arena, so the purge has stale handles
+        /// and never-resolving shadow handles to drop. The model purges
+        /// exactly when the table does (its `rehashes` count moves), so
+        /// `len` and the insert-returns-existed flag must agree too.
+        #[test]
+        fn fp_table_matches_hashmap_model(
+            ops in proptest::collection::vec((0u16..1000, 0u64..4000, 0usize..6), 1..6000),
+        ) {
+            let mut arena = arena(6);
+            let mut table = FpTable::new();
+            let mut model: HashMap<u64, (SlotRef, u16)> = HashMap::new();
+            let live = |arena: &[Slot], v: &(SlotRef, u16)| resolve(arena, v.0).is_some();
+            for (step, (op, key, index)) in ops.into_iter().enumerate() {
+                let fp = key << 4; // sampled fingerprints end in zero bits
+                match op {
+                    // Rare enough that the table fills and doubles in
+                    // between (range strategies favour their end points).
+                    500 => {
+                        let held = table.len;
+                        table.clear();
+                        model.clear();
+                        proptest::prop_assert!(table.keys.len() <= 16 * held.max(64));
+                    }
+                    // Evict the packet in slot `index`, or store a new one there.
+                    501..=503 => {
+                        let slot = &mut arena[index];
+                        match slot.data.take() {
+                            Some(_) => slot.gen += 1,
+                            None => slot.data = self::arena(1).pop().unwrap().data,
+                        }
+                    }
+                    504..=509 => {
+                        table.grow(&arena);
+                        model.retain(|_, v| live(&arena, v));
+                    }
+                    510..=749 => {
+                        proptest::prop_assert_eq!(table.get(fp), model.get(&fp).copied());
+                    }
+                    _ => {
+                        // An empty slot stands for a non-resident id.
+                        let slot = match arena[index].data {
+                            Some(_) => SlotRef { index: index as u32, gen: arena[index].gen },
+                            None => SlotRef { index: u32::MAX, gen: u32::MAX },
+                        };
+                        let offset = step as u16;
+                        let rehashes = table.rehashes;
+                        let existed = table.insert(fp, slot, offset, &arena);
+                        if table.rehashes != rehashes {
+                            model.retain(|_, v| live(&arena, v));
+                        }
+                        proptest::prop_assert_eq!(existed, model.insert(fp, (slot, offset)).is_some());
+                    }
+                }
+                proptest::prop_assert_eq!(table.len, model.len());
+                proptest::prop_assert!(table.len * 4 <= table.keys.len() * 3);
+            }
+            for key in 0..4000u64 {
+                proptest::prop_assert_eq!(table.get(key << 4), model.get(&(key << 4)).copied());
+            }
+            // However large it grew, two clears with one entry between
+            // them bring it back to the initial size, empty.
+            table.clear();
+            table.insert(0, SlotRef::default(), 0, &arena);
+            table.clear();
+            proptest::prop_assert_eq!((table.keys.len(), table.len), (1024, 0));
+            for key in 0..4000u64 {
+                proptest::prop_assert_eq!(table.get(key << 4), None);
+            }
         }
     }
 }

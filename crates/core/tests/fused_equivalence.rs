@@ -2,15 +2,18 @@
 //! identical*: the batched multi-lane pass, the fused single pass, and
 //! the legacy two-pass pipeline produce byte-identical wire output, an
 //! identical fingerprint-table state (every sampled window resolves to
-//! the same packet, offset, and bytes), and unchanged sharded
-//! encode/decode round-trips.
+//! the same packet, offset, and bytes), unchanged sharded encode/decode
+//! round-trips, and a decoder table that mirrors the encoder's whichever
+//! way the encoder indexed.
 //!
 //! The two-pass baseline is the original implementation, and the fused
 //! pass is the PR 2 hot path; both are kept in-tree behind `ScanMode`
 //! precisely so these tests (and the `repro hotpath` harness) have live
 //! oracles for the batched default rather than frozen snapshots.
 
-use bytecache::{DreConfig, Encoder, PacketMeta, PolicyKind, ScanMode, ShardedEncoder};
+use bytecache::{
+    Cache, Decoder, DreConfig, Encoder, PacketMeta, PolicyKind, ScanMode, ShardedEncoder,
+};
 use bytecache_packet::{FlowId, SeqNum};
 use bytecache_rabin::sampler::Sampler;
 use bytecache_rabin::{Fingerprinter, Polynomial};
@@ -73,8 +76,8 @@ fn arb_stream() -> impl Strategy<Value = Vec<Vec<u8>>> {
 /// sampled window of `payload`: same hit/miss, same (id, offset), same
 /// resolved bytes.
 fn assert_table_state_identical(
-    fused: &Encoder,
-    legacy: &Encoder,
+    fused: &Cache,
+    legacy: &Cache,
     engine: &Fingerprinter,
     sampler: &Sampler,
     payload: &[u8],
@@ -83,7 +86,7 @@ fn assert_table_state_identical(
         if !sampler.selects(fp) {
             continue;
         }
-        match (fused.cache().lookup(fp), legacy.cache().lookup(fp)) {
+        match (fused.lookup(fp), legacy.lookup(fp)) {
             (None, None) => {}
             (Some((ida, offa, storeda)), Some((idb, offb, storedb))) => {
                 assert_eq!(ida, idb, "packet id for fp {fp:#x}");
@@ -149,8 +152,8 @@ proptest! {
                 prop_assert_eq!(n.was_reference, x.was_reference, "was_reference vs {}", label);
                 prop_assert_eq!(n.flushed, x.flushed, "flushed vs {}", label);
             }
-            assert_table_state_identical(&batched, &fused, &engine, &sampler, &payload);
-            assert_table_state_identical(&fused, &legacy, &engine, &sampler, &payload);
+            assert_table_state_identical(batched.cache(), fused.cache(), &engine, &sampler, &payload);
+            assert_table_state_identical(fused.cache(), legacy.cache(), &engine, &sampler, &payload);
         }
         // Every counter except the scan-effort ones must agree across
         // the three modes; the index insertions agree too (the batched
@@ -184,6 +187,59 @@ proptest! {
         if fs.index_insertions > 0 && fs.references == 0 {
             prop_assert!(fs.scan_windows < ls.scan_windows,
                 "fused rolled {} windows, two-pass {}", fs.scan_windows, ls.scan_windows);
+        }
+    }
+
+    /// The decoder indexes every packet with `Cache::index_payload`; the
+    /// encoder indexes scanned packets from the scan's own pairs
+    /// (`index_sampled`) in the batched and fused modes, and with
+    /// `index_payload` in two-pass mode and for packets a policy sends
+    /// unscanned. Over a stream that mixes raw, encoded, suppressed
+    /// (k-distance and adaptive references) and retransmitted packets
+    /// (which make Cache Flush flush both sides), the two tables must
+    /// answer every lookup alike after every packet, in every mode.
+    #[test]
+    fn decoder_table_mirrors_encoder(
+        stream in arb_stream(),
+        resend in proptest::collection::vec(0u8..6, 28),
+        policy_idx in 0usize..5,
+    ) {
+        let kind = policies()[policy_idx];
+        let config = DreConfig::default();
+        let engine = Fingerprinter::new(
+            Polynomial::generate(config.polynomial_seed),
+            config.window,
+        );
+        let sampler = Sampler::new(config.sample_bits);
+        for mode in [ScanMode::Batched, ScanMode::Fused, ScanMode::TwoPass] {
+            let mut enc = Encoder::new(config.clone(), kind.build()).with_scan_mode(mode);
+            let mut dec = Decoder::new(config.clone());
+            let mut seq = 1u32;
+            let mut sent: Vec<(u32, Bytes)> = Vec::new();
+            for (i, payload) in stream.iter().enumerate() {
+                // One packet in six repeats an earlier one, sequence
+                // number and all: a retransmission.
+                let (this_seq, payload) = match sent.get(i / 2) {
+                    Some(earlier) if resend[i] == 3 => earlier.clone(),
+                    _ => (seq, Bytes::from(payload.clone())),
+                };
+                seq = seq.max(this_seq.wrapping_add(payload.len().max(1) as u32));
+                sent.push((this_seq, payload.clone()));
+                let m = PacketMeta {
+                    flow: flow(4000),
+                    seq: SeqNum::new(this_seq),
+                    payload_len: payload.len(),
+                    flow_index: 0,
+                };
+                let wire = enc.encode(&m, &payload).wire;
+                let (restored, _) = dec.decode(&wire, &m);
+                prop_assert_eq!(restored.expect("lossless link"), payload.clone());
+                for (_, earlier) in &sent {
+                    assert_table_state_identical(enc.cache(), dec.cache(), &engine, &sampler, earlier);
+                }
+            }
+            prop_assert_eq!(enc.stats().index_insertions, dec.stats().index_insertions);
+            prop_assert_eq!(enc.stats().flushes, dec.cache().stats().flushes);
         }
     }
 

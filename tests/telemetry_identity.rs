@@ -30,6 +30,20 @@ fn sweep_results_are_identical_with_telemetry_on() {
     assert!(metrics.counter("encoder.packets") > 0);
     assert!(metrics.hist("flow.perceived_loss_bp").is_some());
     assert!(metrics.hist("shard.hit_rate_pct").is_some());
+    // The fingerprint table's size survives the shard → bank → gateway
+    // → campaign merge (gauges add, so this is slots over all caches).
+    let slots = metrics.gauge_value("cache.fp_slots").expect("table gauge");
+    let entries = metrics
+        .gauge_value("cache.fp_entries")
+        .expect("table gauge");
+    assert!(
+        entries * 4 <= slots * 3,
+        "{entries} entries in {slots} slots"
+    );
+    assert!(
+        metrics.counter("cache.fp_rehashes") > 0,
+        "120 KB outgrows 1024 slots"
+    );
     assert!(
         metrics.events_of(EventKind::PolicyFlush) > 0
             || metrics.events_of(EventKind::EpochFlush) > 0,
