@@ -40,12 +40,19 @@
 //! independent dependency chains instead of serializing on one, and
 //! every sampled `(offset, fingerprint)` pair lands in `out.sampled` in
 //! offset order — the *same* list the fused pass collects, because
-//! sampling is a pure function of payload bytes. Phase B replays the
-//! fused pass's probe/extend loop over those candidates, issuing a
-//! fingerprint-table prefetch several candidates ahead so probe lines
-//! are in flight while earlier matches resolve. The cache is not
-//! mutated during a scan, so the phase split cannot change any lookup,
-//! and the emitted tokens are byte-identical to both other modes.
+//! sampling is a pure function of payload bytes. Between the phases,
+//! one tight pass loads the fingerprint-table home line of every
+//! candidate ([`Cache::touch_fingerprints`](crate::Cache)): the table
+//! has outgrown the CPU caches, each probe is a random access into it,
+//! and independent loads issued back to back overlap their misses where
+//! a probe loop meets them one by one. None is wasted — a candidate the
+//! probe loop skips is still filed by `index_sampled` microseconds
+//! later, through the same line. Phase B then replays the fused pass's
+//! probe/extend loop over the candidates, resolving each one two
+//! iterations early so the slot and stored-payload lines a hit
+//! dereferences are in flight as well. The cache is not mutated during
+//! a scan, so the phase split cannot change any lookup, and the emitted
+//! tokens are byte-identical to both other modes.
 
 use bytes::Bytes;
 
@@ -62,10 +69,10 @@ use crate::wire::Token;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
     /// Multi-lane batched pass (the default): the striped rolling
-    /// kernel collects every sampled window first, then an in-order
-    /// probe/extend replay resolves them with table prefetches issued
-    /// ahead. Fastest mode; wire output, `EncodeInfo`, and table state
-    /// are byte-identical to the other two.
+    /// kernel collects every sampled window first and their table
+    /// lines are loaded in one pass, then an in-order probe/extend
+    /// replay resolves them. Fastest mode; wire output, `EncodeInfo`,
+    /// and table state are byte-identical to the other two.
     #[default]
     Batched,
     /// Single fused window pass: scan, sample, match-extend, and collect
@@ -190,19 +197,11 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    /// How many candidates ahead the batched probe loop pulls
-    /// fingerprint-table lines. Eight probes in flight (~one sampled
-    /// window every 2^sample_bits ≈ 32 bytes at the default) is deep
-    /// enough to cover a main-memory miss (~100 ns ≈ 200+ payload
-    /// bytes of phase-B work) without evicting useful lines.
-    const PREFETCH_AHEAD: usize = 8;
-
     /// How many candidates ahead the probe loop *resolves* entries to
     /// prefetch the slot and stored-payload lines a hit dereferences
-    /// (see [`Cache::prefetch_candidate`](crate::Cache)). Shorter than
-    /// [`Self::PREFETCH_AHEAD`]: the resolving probe itself touches the
-    /// table line requested at the longer distance, so by this point
-    /// that line is resident and the resolve costs a few cycles.
+    /// (see [`Cache::prefetch_candidate`](crate::Cache)). The table
+    /// lines were all loaded before the loop, so the resolve costs a
+    /// few cycles; two iterations cover the dependent loads.
     const PREFETCH_RESOLVE_AHEAD: usize = 2;
 
     /// Build the core from a validated configuration.
@@ -337,9 +336,8 @@ impl EngineCore {
     /// phase A stripes the payload across independent rolling lanes and
     /// collects every sampled `(offset, fingerprint)` pair; phase B
     /// replays [`scan_fused`](Self::scan_fused)'s probe-and-extend loop
-    /// over those candidates in offset order, prefetching each
-    /// candidate's fingerprint-table line [`Self::PREFETCH_AHEAD`]
-    /// iterations before its probe.
+    /// over those candidates in offset order, after one pass that loads
+    /// every candidate's fingerprint-table line.
     ///
     /// Sampling is unconditional in the fused pass, so phase A's
     /// candidate list equals the fused pass's `out.sampled` exactly, and
@@ -371,15 +369,13 @@ impl EngineCore {
                 sampled.push((pos as u16, fp));
             });
         let end = out.sampled.len();
-        // Phase B: in-order probe replay with a two-stage prefetch
-        // pipeline. At distance PREFETCH_AHEAD the candidate's
-        // fingerprint-table line is requested; at the shorter
-        // PREFETCH_RESOLVE_AHEAD — by which point that line has landed —
-        // the entry is resolved and the slot and stored-payload lines a
-        // hit would immediately dereference are requested too.
-        for i in sampled_before..(sampled_before + Self::PREFETCH_AHEAD).min(end) {
-            self.cache.prefetch_fingerprint(out.sampled[i].1);
-        }
+        // Every candidate's table line, requested together.
+        self.cache
+            .touch_fingerprints(&out.sampled[sampled_before..end]);
+        // Phase B: in-order probe replay. PREFETCH_RESOLVE_AHEAD
+        // candidates ahead, the entry is resolved and the slot and
+        // stored-payload lines a hit would immediately dereference are
+        // requested too.
         for i in sampled_before..(sampled_before + Self::PREFETCH_RESOLVE_AHEAD).min(end) {
             self.cache.prefetch_candidate(out.sampled[i].1);
         }
@@ -387,15 +383,9 @@ impl EngineCore {
         let mut resume = 0usize; // positions below this are match interior
         for i in sampled_before..end {
             // Candidates already inside a matched interior are known
-            // skips (`resume` only grows), so their prefetches would be
+            // skips (`resume` only grows), so resolving them would be
             // pure waste — worst exactly when redundancy is high and
             // most candidates land inside extended matches.
-            if i + Self::PREFETCH_AHEAD < end {
-                let (p, f) = out.sampled[i + Self::PREFETCH_AHEAD];
-                if p as usize >= resume {
-                    self.cache.prefetch_fingerprint(f);
-                }
-            }
             if i + Self::PREFETCH_RESOLVE_AHEAD < end {
                 let (p, f) = out.sampled[i + Self::PREFETCH_RESOLVE_AHEAD];
                 if p as usize >= resume {

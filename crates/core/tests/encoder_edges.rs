@@ -1,7 +1,8 @@
 //! Encoder/decoder edge cases: boundary sizes, eviction, window-limited
 //! caches, match extension limits, and flush interleavings.
 
-use bytecache::{Decoder, DreConfig, Encoder, PacketMeta, PolicyKind};
+use bytecache::wire::{self, Token};
+use bytecache::{DecodeError, Decoder, DreConfig, Encoder, PacketMeta, PolicyKind};
 use bytecache_packet::{FlowId, SeqNum, MSS};
 use bytes::Bytes;
 use std::net::Ipv4Addr;
@@ -240,4 +241,44 @@ fn different_polynomial_seeds_are_incompatible_but_safe() {
     if let Ok(decoded) = r2 {
         assert_eq!(decoded, p);
     }
+}
+
+#[test]
+fn match_fingerprint_outside_53_bits_is_a_missing_reference() {
+    // The fingerprint field of a match token is 64 bits off the air and
+    // fingerprints are 53: a value with a high bit set must miss, not
+    // alias the in-range fingerprint it shares its low bits with.
+    let (mut enc, mut dec) = pair();
+    let p = block(9, 1200);
+    let w1 = enc.encode(&meta(1000), &p);
+    assert_eq!(dec.decode(&w1.wire, &meta(1000)).0.unwrap(), p);
+    let w2 = enc.encode(&meta(2200), &p);
+    assert!(w2.matches > 0);
+    let shim = wire::parse(&w2.wire).unwrap();
+    for (n, bit) in [(1, 53), (2, 63)] {
+        let mut tokens = shim.tokens.clone();
+        let forged = tokens
+            .iter_mut()
+            .find_map(|t| match t {
+                Token::Match { fingerprint, .. } => {
+                    *fingerprint |= 1 << bit;
+                    Some(*fingerprint)
+                }
+                Token::Literal(_) => None,
+            })
+            .expect("a match token");
+        let h = shim.header;
+        let forged_wire = wire::encode_tokens(h.epoch, h.id, h.orig_len, h.checksum, &tokens);
+        let (result, _) = dec.decode(&forged_wire, &meta(2200));
+        assert_eq!(
+            result,
+            Err(DecodeError::MissingReference {
+                fingerprint: forged
+            }),
+            "bit {bit}"
+        );
+        assert_eq!(dec.stats().missing_reference, n);
+    }
+    // The untouched shim still decodes.
+    assert_eq!(dec.decode(&w2.wire, &meta(2200)).0.unwrap(), p);
 }

@@ -2,10 +2,10 @@
 //! fused scan-and-index pass vs the legacy two-pass encoder pipeline.
 //!
 //! The batched pass (see `DESIGN.md` §15) stripes the payload across
-//! independent rolling lanes and prefetches fingerprint-table probes;
-//! the fused pass (§9) rolls exactly one fingerprint per payload
-//! position and feeds the sampled windows straight into the cache
-//! index; the two-pass baseline — kept in-tree behind
+//! independent rolling lanes and loads the packet's fingerprint-table
+//! lines ahead of its probes; the fused pass (§9) rolls exactly one
+//! fingerprint per payload position and feeds the sampled windows
+//! straight into the cache index; the two-pass baseline — kept in-tree behind
 //! [`ScanMode::TwoPass`] — scans for matches, then re-fingerprints the
 //! whole payload a second time to index it, and extends matches
 //! byte-at-a-time. This harness sweeps payload size × redundancy ratio ×
