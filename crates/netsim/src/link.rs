@@ -185,6 +185,78 @@ impl LinkState {
     }
 }
 
+/// The links of one simulator, indexed by [`LinkId`], kept in chunks of
+/// [`LinkTable::CHUNK`].
+///
+/// A link's state is a few hundred bytes and a crowd simulation has two
+/// per host, so one `Vec` of them reaches tens of MiB by doubling: each
+/// step needs the old and the new buffer at once and a contiguous hole
+/// the size of the new one, and whether the allocator has that hole
+/// depends on everything allocated before. Chunks keep every request
+/// below half a MiB, so what a simulation adds to the process's peak
+/// memory follows its size and not the shape of the heap it was built
+/// on.
+#[derive(Debug, Default)]
+pub(crate) struct LinkTable {
+    /// All full but the last.
+    chunks: Vec<Vec<LinkState>>,
+}
+
+impl LinkTable {
+    const CHUNK: usize = 1024;
+
+    pub(crate) fn len(&self) -> usize {
+        match self.chunks.split_last() {
+            Some((last, full)) => full.len() * Self::CHUNK + last.len(),
+            None => 0,
+        }
+    }
+
+    pub(crate) fn push(&mut self, link: LinkState) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < Self::CHUNK => last.push(link),
+            _ => self.chunks.push(vec![link]),
+        }
+    }
+
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut LinkState> {
+        self.chunks.iter_mut().flatten()
+    }
+}
+
+impl std::ops::Index<usize> for LinkTable {
+    type Output = LinkState;
+
+    #[inline]
+    fn index(&self, id: usize) -> &LinkState {
+        &self.chunks[id / Self::CHUNK][id % Self::CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<usize> for LinkTable {
+    #[inline]
+    fn index_mut(&mut self, id: usize) -> &mut LinkState {
+        &mut self.chunks[id / Self::CHUNK][id % Self::CHUNK]
+    }
+}
+
+impl IntoIterator for LinkTable {
+    type Item = LinkState;
+    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<LinkState>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.chunks.into_iter().flatten()
+    }
+}
+
+impl FromIterator<LinkState> for LinkTable {
+    fn from_iter<I: IntoIterator<Item = LinkState>>(links: I) -> Self {
+        let mut table = LinkTable::default();
+        links.into_iter().for_each(|link| table.push(link));
+        table
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,5 +293,31 @@ mod tests {
             cfg.channel.loss,
             crate::channel::LossModel::Bernoulli { rate } if rate == 0.05
         ));
+    }
+
+    #[test]
+    fn link_table_indexes_across_chunks() {
+        let n = 2 * LinkTable::CHUNK + 3;
+        let link = |i: usize| {
+            let mut l = LinkState::new(LinkConfig::default());
+            l.stats.packets_offered = i as u64;
+            l
+        };
+        let mut table = LinkTable::default();
+        assert_eq!(table.len(), 0);
+        for i in 0..n {
+            assert_eq!(table.len(), i);
+            table.push(link(i));
+        }
+        assert_eq!(table.len(), n);
+        for i in [0, 1, LinkTable::CHUNK - 1, LinkTable::CHUNK, n - 1] {
+            assert_eq!(table[i].stats.packets_offered, i as u64);
+            table[i].stats.packets_lost = 1;
+        }
+        assert_eq!(table.iter_mut().count(), n);
+        let back: LinkTable = table.into_iter().collect();
+        assert_eq!(back.len(), n);
+        assert!((0..n).all(|i| back[i].stats.packets_offered == i as u64));
+        assert_eq!(back[LinkTable::CHUNK].stats.packets_lost, 1);
     }
 }

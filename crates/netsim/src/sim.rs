@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::fxhash::RouteMap;
-use crate::link::{LinkConfig, LinkId, LinkState, TxVerdict};
+use crate::link::{LinkConfig, LinkId, LinkState, LinkTable, TxVerdict};
 use crate::node::{Action, Context, Node, NodeId};
 use crate::partition::link_rng_seed;
 use crate::stats::LinkStats;
@@ -167,7 +167,7 @@ pub struct Simulator {
     pub(crate) partition: Option<Vec<usize>>,
     pub(crate) queue: EventQueue,
     pub(crate) nodes: Vec<Box<dyn SimNode>>,
-    pub(crate) links: Vec<LinkState>,
+    pub(crate) links: LinkTable,
     /// Per-node outgoing adjacency: `out_links[from]` lists
     /// `(to, link)` pairs sorted by `to`. Node ids are dense small
     /// integers, so this replaces the per-dispatch `HashMap` lookup
@@ -220,7 +220,7 @@ impl Simulator {
             partition: None,
             queue: EventQueue::new(QueueKind::default()),
             nodes: Vec::new(),
-            links: Vec::new(),
+            links: LinkTable::default(),
             out_links: Vec::new(),
             routes: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
