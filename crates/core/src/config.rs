@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::ScanMode;
-
 /// Parameters shared by an encoder/decoder pair.
 ///
 /// Defaults are the paper's settings: a 16-byte fingerprint window,
@@ -31,11 +29,6 @@ pub struct DreConfig {
     /// its cache, policy state, id space, and epoch; `1` (the default)
     /// is byte-for-byte the unsharded engine.
     pub shards: usize,
-    /// How the encoder scans for redundancy ([`ScanMode::Batched`] by
-    /// default). All modes produce byte-identical wire output,
-    /// `EncodeInfo`, and fingerprint-table state; they differ only in
-    /// speed. An encoder/decoder pair may even use different modes.
-    pub scan_mode: ScanMode,
 }
 
 impl Default for DreConfig {
@@ -48,7 +41,6 @@ impl Default for DreConfig {
             max_packets: None,
             polynomial_seed: 0,
             shards: 1,
-            scan_mode: ScanMode::default(),
         }
     }
 }

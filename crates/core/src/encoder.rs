@@ -7,7 +7,7 @@ use bytecache_packet::{FlowId, Packet, SeqNum};
 use bytecache_telemetry::{Event, EventKind, Recorder};
 
 use crate::config::DreConfig;
-use crate::engine::{EngineCore, ScanMode, ScanOutput};
+use crate::engine::{EngineCore, ScanOutput};
 use crate::policy::{PacketMeta, Policy};
 use crate::stats::EncoderStats;
 use crate::store::{Cache, PacketId};
@@ -90,16 +90,13 @@ pub struct Encoder {
     /// Scan scratch (tokens, refs, sampled fingerprints) reused across
     /// packets so the hot path does not allocate in steady state.
     scratch: ScanOutput,
-    scan_mode: ScanMode,
     /// Per-packet distributions and flush events; disabled by default
     /// (one branch per recording site on the hot path).
     telemetry: Recorder,
 }
 
 impl Encoder {
-    /// New encoder with the given configuration and policy, using the
-    /// scan mode the configuration selects (see [`ScanMode`];
-    /// [`ScanMode::Batched`] by default).
+    /// New encoder with the given configuration and policy.
     ///
     /// # Panics
     ///
@@ -107,7 +104,6 @@ impl Encoder {
     /// [`DreConfig::validate`]).
     #[must_use]
     pub fn new(config: DreConfig, policy: Box<dyn Policy>) -> Self {
-        let scan_mode = config.scan_mode;
         Encoder {
             core: EngineCore::new(config),
             policy,
@@ -116,7 +112,6 @@ impl Encoder {
             wire_gen: false,
             stats: EncoderStats::default(),
             scratch: ScanOutput::default(),
-            scan_mode,
             telemetry: Recorder::disabled(),
         }
     }
@@ -177,28 +172,6 @@ impl Encoder {
         rec.count("encoder.repairs", s.repairs);
         rec.count("encoder.repair_misses", s.repair_misses);
         rec
-    }
-
-    /// Select the scan implementation ([`ScanMode::Batched`] is the
-    /// default; [`ScanMode::Fused`] and [`ScanMode::TwoPass`] are the
-    /// retained baselines). Wire output is byte-identical in every
-    /// mode; only CPU cost differs. Builder-style variant of
-    /// [`set_scan_mode`](Self::set_scan_mode).
-    #[must_use]
-    pub fn with_scan_mode(mut self, mode: ScanMode) -> Self {
-        self.scan_mode = mode;
-        self
-    }
-
-    /// Switch the scan implementation; takes effect from the next packet.
-    pub fn set_scan_mode(&mut self, mode: ScanMode) {
-        self.scan_mode = mode;
-    }
-
-    /// The active scan mode.
-    #[must_use]
-    pub fn scan_mode(&self) -> ScanMode {
-        self.scan_mode
     }
 
     /// Counters.
@@ -322,6 +295,11 @@ impl Encoder {
     /// Encode one data packet: returns the shim payload and bookkeeping.
     ///
     /// `meta.flow_index` is recomputed internally; callers may pass 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is longer than `u16::MAX` bytes (see
+    /// [`encode_into`](Self::encode_into)).
     pub fn encode(&mut self, meta: &PacketMeta, payload: &Bytes) -> EncodeOutcome {
         let mut wire = Vec::new();
         let info = self.encode_into(meta, payload, &mut wire);
@@ -339,12 +317,23 @@ impl Encoder {
     /// Encode one data packet, writing the shim payload into `out`
     /// (cleared first). Buffer-reuse variant of [`encode`](Self::encode)
     /// for gateways processing packet streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is longer than `u16::MAX` bytes: the shim's
+    /// original length and every match offset are 16-bit fields, as is
+    /// the IP total length of any packet a gateway can hand in.
     pub fn encode_into(
         &mut self,
         meta: &PacketMeta,
         payload: &Bytes,
         out: &mut Vec<u8>,
     ) -> EncodeInfo {
+        assert!(
+            payload.len() <= usize::from(u16::MAX),
+            "payload of {} bytes exceeds the shim's 16-bit length fields",
+            payload.len()
+        );
         let span = self.telemetry.span_start();
         let meta = PacketMeta {
             flow_index: self.core.cache.flow_index(&meta.flow),
@@ -373,24 +362,15 @@ impl Encoder {
 
         self.scratch.clear();
         if !pre.suppress_encoding {
-            match self.scan_mode {
-                ScanMode::Batched => {
-                    self.core
-                        .scan_batched(self.policy.as_ref(), &meta, payload, &mut self.scratch);
-                }
-                ScanMode::Fused => {
-                    self.core
-                        .scan_fused(self.policy.as_ref(), &meta, payload, &mut self.scratch);
-                }
-                ScanMode::TwoPass => {
-                    self.core.scan_two_pass(
-                        self.policy.as_ref(),
-                        &meta,
-                        payload,
-                        &mut self.scratch,
-                    );
-                }
-            }
+            self.core
+                .scan_batched(self.policy.as_ref(), &meta, payload, &mut self.scratch);
+            #[cfg(test)]
+            self.core.assert_scan_matches_reference(
+                self.policy.as_ref(),
+                &meta,
+                payload,
+                &self.scratch,
+            );
         }
 
         let matches = self.scratch.refs.len();
@@ -423,22 +403,18 @@ impl Encoder {
 
         // Cache update procedure (paper Fig. 2 part C) on the ORIGINAL
         // payload — retransmissions included, which is exactly what makes
-        // the naive policy self-referential. In the batched and fused
-        // modes the sampled fingerprints were collected during the scan,
-        // so nothing is fingerprinted a second time; the two-pass
-        // baseline (and the policy-suppressed path, which skips the
-        // scan) re-fingerprints via the indexing loop.
+        // the naive policy self-referential. The scan collected the
+        // sampled fingerprints, so nothing is fingerprinted a second
+        // time; only a packet the policy sent unscanned is rolled here.
         self.core
             .cache
             .insert_with_id(id, payload.clone(), meta.flow, meta.seq);
-        let indexed = if matches!(self.scan_mode, ScanMode::Batched | ScanMode::Fused)
-            && !pre.suppress_encoding
-        {
-            self.core.cache.index_sampled(id, &self.scratch.sampled)
-        } else {
+        let indexed = if pre.suppress_encoding {
             self.core
                 .cache
                 .index_payload(&self.core.engine, &self.core.sampler, id)
+        } else {
+            self.core.cache.index_sampled(id, &self.scratch.sampled)
         };
 
         // Bookkeeping.

@@ -8,51 +8,46 @@
 //! sides cannot drift apart structurally; the encoder adds policy and
 //! token emission on top, the decoder adds reconstruction.
 //!
-//! # The fused hot path
+//! # The scan
 //!
 //! The paper describes redundancy identification (Fig. 2 part B) and the
-//! cache update procedure (part C) as two separate window passes, and
-//! the original implementation here paid for both: one rolling pass to
-//! find matches, then a second full rolling pass over the *same* payload
-//! to index its sampled fingerprints. [`EngineCore::scan_fused`] fuses
-//! them: a single rolling pass visits **every** window once, pushes each
-//! sampled `(offset, fingerprint)` pair into a reusable scratch buffer
-//! (later handed to [`Cache::index_sampled`](crate::Cache::index_sampled)
-//! so the encoder never re-fingerprints), and performs match lookup and
-//! extension along the way. Match extension compares words
-//! (`u64` + XOR + `trailing_zeros`/`leading_zeros`) instead of bytes.
+//! cache update procedure (part C) as two window passes over a payload.
+//! [`EngineCore::scan_batched`] visits every window once and serves
+//! both: it finds the matches and leaves the payload's sampled
+//! `(offset, fingerprint)` pairs in a reusable scratch that the encoder
+//! hands to [`Cache::index_sampled`](crate::Cache::index_sampled), so
+//! nothing is fingerprinted twice. It runs in two latency-hiding phases.
 //!
-//! The legacy two-pass scan is retained as
-//! [`EngineCore::scan_two_pass`] behind [`ScanMode::TwoPass`]: it is the
-//! baseline the `repro hotpath` harness measures against and the oracle
-//! the equivalence property tests compare with — fused and two-pass
-//! produce byte-identical wire output and an identical fingerprint-table
-//! state.
-//!
-//! # The batched hot path
-//!
-//! [`EngineCore::scan_batched`] ([`ScanMode::Batched`], the default)
-//! splits the fused pass into two latency-hiding phases. Phase A runs
-//! the multi-lane rolling kernel
+//! Phase A is the multi-lane rolling kernel
 //! ([`Fingerprinter::scan_sampled_batched`]): the payload is striped
 //! into [`bytecache_rabin::SCAN_LANES`] contiguous lanes whose rolling
 //! recurrences advance in lock-step, so the CPU overlaps four
 //! independent dependency chains instead of serializing on one, and
-//! every sampled `(offset, fingerprint)` pair lands in `out.sampled` in
-//! offset order — the *same* list the fused pass collects, because
-//! sampling is a pure function of payload bytes. Between the phases,
-//! one tight pass loads the fingerprint-table home line of every
-//! candidate ([`Cache::touch_fingerprints`](crate::Cache)): the table
-//! has outgrown the CPU caches, each probe is a random access into it,
-//! and independent loads issued back to back overlap their misses where
-//! a probe loop meets them one by one. None is wasted — a candidate the
-//! probe loop skips is still filed by `index_sampled` microseconds
-//! later, through the same line. Phase B then replays the fused pass's
-//! probe/extend loop over the candidates, resolving each one two
-//! iterations early so the slot and stored-payload lines a hit
-//! dereferences are in flight as well. The cache is not mutated during
-//! a scan, so the phase split cannot change any lookup, and the emitted
-//! tokens are byte-identical to both other modes.
+//! every sampled pair lands in `out.sampled` in offset order. Sampling
+//! is a pure function of payload bytes, so this list is the one a
+//! window-by-window roll would collect.
+//!
+//! Between the phases, one tight pass loads the fingerprint-table home
+//! line of every candidate ([`Cache::touch_fingerprints`](crate::Cache)):
+//! the table has outgrown the CPU caches, each probe is a random access
+//! into it, and independent loads issued back to back overlap their
+//! misses where a probe loop meets them one by one. None is wasted — a
+//! candidate the probe loop skips is still filed by `index_sampled`
+//! microseconds later, through the same line.
+//!
+//! Phase B probes the candidates in offset order and extends each hit
+//! into the repeated area around it, comparing words (`u64` + XOR +
+//! `trailing_zeros`/`leading_zeros`) instead of bytes. Candidates inside
+//! an already matched region are skipped, which is the paper's
+//! jump-past-the-match. Each candidate is resolved two iterations early
+//! so the slot and stored-payload lines a hit dereferences are in
+//! flight as well. The cache is not mutated during a scan, so deferring
+//! the probes cannot change any lookup.
+//!
+//! The procedure as the paper writes it — byte-at-a-time extension, a
+//! fresh fingerprint after every jump, a separate indexing pass — is
+//! kept in the test-only `reference` module, and every scan an in-crate
+//! test runs is checked against it on the same cache state.
 
 use bytes::Bytes;
 
@@ -64,43 +59,9 @@ use crate::policy::{PacketMeta, Policy};
 use crate::store::PacketId;
 use crate::wire::Token;
 
-/// How the encoder performs redundancy identification and cache
-/// indexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Multi-lane batched pass (the default): the striped rolling
-    /// kernel collects every sampled window first and their table
-    /// lines are loaded in one pass, then an in-order probe/extend
-    /// replay resolves them. Fastest mode; wire output, `EncodeInfo`,
-    /// and table state are byte-identical to the other two.
-    #[default]
-    Batched,
-    /// Single fused window pass: scan, sample, match-extend, and collect
-    /// the index entries together; nothing is fingerprinted twice. Kept
-    /// verbatim as the batched path's baseline and oracle.
-    Fused,
-    /// The original two-pass pipeline: scan for matches, then
-    /// re-fingerprint the whole payload to index it. Byte-at-a-time
-    /// match extension. Kept as the measurable baseline for the fused
-    /// path — wire output and fingerprint-table state are identical.
-    TwoPass,
-}
-
-impl ScanMode {
-    /// Stable label used in harness tables and JSON.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ScanMode::Batched => "batched",
-            ScanMode::Fused => "fused",
-            ScanMode::TwoPass => "two-pass",
-        }
-    }
-}
-
 /// Reusable scratch filled by one redundancy scan: tokens and
-/// bookkeeping for the wire, plus (in fused mode) the sampled
-/// fingerprints destined for the index. Owned by the encoder and cleared
+/// bookkeeping for the wire, plus the sampled fingerprints destined for
+/// the index. Owned by the encoder and cleared
 /// between packets so the hot path never allocates in steady state.
 #[derive(Debug, Default)]
 pub(crate) struct ScanOutput {
@@ -224,126 +185,15 @@ impl EngineCore {
         }
     }
 
-    /// The fused redundancy identification *and* index collection pass:
-    /// one rolling-fingerprint sweep over every window of `payload`.
-    ///
-    /// Each window's fingerprint is tested against the sampler; sampled
-    /// windows are recorded in `out.sampled` for the later
-    /// `Cache::index_sampled` call, and — when not inside an
-    /// already-matched region — looked up in the cache to seed match
-    /// extension, exactly as the two-pass scan would. Matched regions are
-    /// *scanned through* (the fingerprint keeps rolling, feeding the
-    /// index) but skipped for lookups, which reproduces the two-pass
-    /// scan's jump-past-the-match behavior token for token.
+    /// Redundancy identification and index collection in one pass (see
+    /// the module docs): phase A stripes the payload across independent
+    /// rolling lanes and collects every sampled `(offset, fingerprint)`
+    /// pair into `out.sampled`; phase B probes those candidates in
+    /// offset order, after one pass that loads every candidate's
+    /// fingerprint-table line, and extends each hit into a match token.
     ///
     /// Reads the cache through shared borrows only — matched source
     /// payloads are compared in place, never copied.
-    pub(crate) fn scan_fused(
-        &self,
-        policy: &dyn Policy,
-        meta: &PacketMeta,
-        payload: &Bytes,
-        out: &mut ScanOutput,
-    ) {
-        let w = self.config.window;
-        let data: &[u8] = payload;
-        let n = data.len();
-        if n < w {
-            if n != 0 {
-                out.tokens.push(Token::Literal(payload.clone()));
-            }
-            return;
-        }
-        let sampled_before = out.sampled.len();
-        let mut emitted = 0usize; // payload bytes already covered by tokens
-        let mut resume = 0usize; // positions below this are match interior
-        let mut pos = 0usize;
-        let mut fp = self.engine.prime(data).expect("length checked");
-        // Iterator-driven roll: the zip hands out the (outgoing,
-        // incoming) byte pairs without per-step bounds checks, and the
-        // window counters fall out of arithmetic instead of per-position
-        // increments — the loop body is just roll + sampler on the
-        // non-sampled (15-in-16) path.
-        let mut roll_bytes = data.iter().zip(data[w..].iter());
-        loop {
-            if self.sampler.selects(fp) {
-                out.sampled.push((pos as u16, fp));
-                if pos >= resume {
-                    if let Some((src_id, src_off, stored, dead)) = self.cache.lookup_entry(fp) {
-                        let src_payload = &stored.payload;
-                        let src_off = src_off as usize;
-                        if !dead
-                            && policy.allow_match(meta, &stored.meta, src_id)
-                            && src_off + w <= src_payload.len()
-                        {
-                            // One word-wise pass both verifies the
-                            // window (first w bytes equal) and extends
-                            // the repeated area forward past it.
-                            let total = common_prefix(&data[pos..], &src_payload[src_off..]);
-                            if total >= w {
-                                // Backward extension, bounded below by
-                                // the already-emitted prefix.
-                                let back =
-                                    common_suffix(&data[emitted..pos], &src_payload[..src_off]);
-                                let ns = pos - back;
-                                let ss = src_off - back;
-                                let ne = pos + total;
-                                let len = ne - ns;
-                                if len > self.config.min_match {
-                                    if ns > emitted {
-                                        out.tokens.push(Token::Literal(payload.slice(emitted..ns)));
-                                    }
-                                    out.tokens.push(Token::Match {
-                                        fingerprint: fp,
-                                        offset_new: ns as u16,
-                                        offset_stored: ss as u16,
-                                        len: len as u16,
-                                    });
-                                    out.matched_bytes += len;
-                                    // O(matches) distinct counting:
-                                    // matches per packet are few (the
-                                    // paper's Table III averages 4-7),
-                                    // so a linear probe beats the old
-                                    // per-packet sort + dedup.
-                                    if !out.refs.contains(&src_id) {
-                                        out.distinct_refs += 1;
-                                    }
-                                    out.refs.push(src_id);
-                                    emitted = ne;
-                                    resume = ne;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            match roll_bytes.next() {
-                Some((&outgoing, &incoming)) => {
-                    fp = self.engine.roll(fp, outgoing, incoming);
-                    pos += 1;
-                }
-                None => break,
-            }
-        }
-        out.scan_windows += (n - w + 1) as u64;
-        out.sampled_windows += (out.sampled.len() - sampled_before) as u64;
-        if emitted < n {
-            out.tokens.push(Token::Literal(payload.slice(emitted..)));
-        }
-    }
-
-    /// The batched redundancy identification pass (see the module docs):
-    /// phase A stripes the payload across independent rolling lanes and
-    /// collects every sampled `(offset, fingerprint)` pair; phase B
-    /// replays [`scan_fused`](Self::scan_fused)'s probe-and-extend loop
-    /// over those candidates in offset order, after one pass that loads
-    /// every candidate's fingerprint-table line.
-    ///
-    /// Sampling is unconditional in the fused pass, so phase A's
-    /// candidate list equals the fused pass's `out.sampled` exactly, and
-    /// phase B's `resume` gating reproduces its skip-matched-interior
-    /// behavior token for token. The cache is never mutated during a
-    /// scan, so deferring the probes cannot change their results.
     pub(crate) fn scan_batched(
         &self,
         policy: &dyn Policy,
@@ -404,8 +254,13 @@ impl EngineCore {
                     && policy.allow_match(meta, &stored.meta, src_id)
                     && src_off + w <= src_payload.len()
                 {
+                    // One word-wise pass both verifies the window (first
+                    // w bytes equal) and extends the repeated area
+                    // forward past it.
                     let total = common_prefix(&data[pos..], &src_payload[src_off..]);
                     if total >= w {
+                        // Backward extension, bounded below by the
+                        // already-emitted prefix.
                         let back = common_suffix(&data[emitted..pos], &src_payload[..src_off]);
                         let ns = pos - back;
                         let ss = src_off - back;
@@ -422,6 +277,9 @@ impl EngineCore {
                                 len: len as u16,
                             });
                             out.matched_bytes += len;
+                            // Matches per packet are few (the paper's
+                            // Table III averages 4-7), so a linear probe
+                            // counts the distinct sources.
                             if !out.refs.contains(&src_id) {
                                 out.distinct_refs += 1;
                             }
@@ -436,103 +294,6 @@ impl EngineCore {
         out.scan_windows += (n - w + 1) as u64;
         out.sampled_windows += (end - sampled_before) as u64;
         if emitted < n {
-            out.tokens.push(Token::Literal(payload.slice(emitted..)));
-        }
-    }
-
-    /// The original two-pass redundancy identification (paper Fig. 2
-    /// part B as first implemented): rolling scan with byte-at-a-time
-    /// match extension, re-priming the fingerprint after every match
-    /// jump, and **no** index collection — callers must re-fingerprint
-    /// the payload with `Cache::index_payload` afterwards.
-    ///
-    /// Retained verbatim as the baseline for [`ScanMode::TwoPass`]; the
-    /// equivalence property tests assert its wire output and resulting
-    /// fingerprint-table state match [`scan_fused`](Self::scan_fused).
-    pub(crate) fn scan_two_pass(
-        &self,
-        policy: &dyn Policy,
-        meta: &PacketMeta,
-        payload: &Bytes,
-        out: &mut ScanOutput,
-    ) {
-        let w = self.config.window;
-        if payload.len() < w {
-            if !payload.is_empty() {
-                out.tokens.push(Token::Literal(payload.clone()));
-            }
-            return;
-        }
-        let mut emitted = 0usize; // payload bytes already covered by tokens
-        let mut pos = 0usize;
-        let mut fp = self.engine.fingerprint(&payload[..w]);
-        loop {
-            let mut jumped = false;
-            out.scan_windows += 1;
-            if self.sampler.selects(fp) {
-                out.sampled_windows += 1;
-                if let Some((src_id, src_off, stored)) = self.cache.lookup(fp) {
-                    let src_payload = &stored.payload;
-                    let src_off = src_off as usize;
-                    if !self.cache.is_dead(src_id)
-                        && policy.allow_match(meta, &stored.meta, src_id)
-                        && src_off + w <= src_payload.len()
-                        && src_payload[src_off..src_off + w] == payload[pos..pos + w]
-                    {
-                        // Determine the boundaries of the repeated area
-                        // around the window.
-                        let mut ns = pos;
-                        let mut ss = src_off;
-                        while ns > emitted && ss > 0 && src_payload[ss - 1] == payload[ns - 1] {
-                            ns -= 1;
-                            ss -= 1;
-                        }
-                        let mut ne = pos + w;
-                        let mut se = src_off + w;
-                        while ne < payload.len()
-                            && se < src_payload.len()
-                            && src_payload[se] == payload[ne]
-                        {
-                            ne += 1;
-                            se += 1;
-                        }
-                        let len = ne - ns;
-                        if len > self.config.min_match {
-                            if ns > emitted {
-                                out.tokens.push(Token::Literal(payload.slice(emitted..ns)));
-                            }
-                            out.tokens.push(Token::Match {
-                                fingerprint: fp,
-                                offset_new: ns as u16,
-                                offset_stored: ss as u16,
-                                len: len as u16,
-                            });
-                            out.matched_bytes += len;
-                            if !out.refs.contains(&src_id) {
-                                out.distinct_refs += 1;
-                            }
-                            out.refs.push(src_id);
-                            emitted = ne;
-                            // Resume scanning after the repeated area.
-                            if ne + w > payload.len() {
-                                break;
-                            }
-                            pos = ne;
-                            fp = self.engine.fingerprint(&payload[pos..pos + w]);
-                            jumped = true;
-                        }
-                    }
-                }
-            }
-            if !jumped {
-                if pos + w >= payload.len() {
-                    break;
-                }
-                fp = self.engine.roll(fp, payload[pos], payload[pos + w]);
-                pos += 1;
-            }
-        }
-        if emitted < payload.len() {
             out.tokens.push(Token::Literal(payload.slice(emitted..)));
         }
     }

@@ -33,8 +33,6 @@
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
-
 use bytecache_netsim::time::SimDuration;
 use bytecache_netsim::{Context, Node};
 use bytecache_packet::{FlowId, Packet, TcpFlags};
@@ -88,28 +86,6 @@ fn backoff_us(retries: u32) -> u64 {
     RECOVERY_TIMEOUT_US << retries.min(RECOVERY_MAX_RETRIES)
 }
 
-/// How gateways hand payload bytes to the next hop.
-///
-/// [`Shared`](PayloadMode::Shared) is the production path: encoder
-/// output is frozen into a ref-counted [`Bytes`] handle with no byte
-/// copy, and the decoder reconstructs raw bodies and literals as O(1)
-/// slices of the arriving buffer, so one allocation travels the whole
-/// gateway → channel → gateway → endpoint path.
-///
-/// [`Copied`](PayloadMode::Copied) reproduces the pre-sharing behavior —
-/// a fresh buffer copy on every encode and decode — and is kept as a
-/// live measurable baseline for the `simpath` bench and the
-/// `simthroughput` harness, exactly like `ScanMode::TwoPass` for the
-/// scan. Results are byte-identical either way; only CPU cost differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PayloadMode {
-    /// Zero-copy ref-counted payload handles (default).
-    #[default]
-    Shared,
-    /// Legacy per-hop buffer copies (measurement baseline).
-    Copied,
-}
-
 /// Bytes per NACK record on the control channel: shard (u16) + shim id
 /// (u32), both big-endian.
 pub const NACK_RECORD_LEN: usize = 6;
@@ -138,11 +114,6 @@ pub struct EncoderGateway {
     repairs_sent: u64,
     /// IP id counter for synthesized repair packets.
     ip_id: u16,
-    /// Wire scratch buffer reused across packets ([`PayloadMode::Copied`]
-    /// baseline only; the shared path freezes the encoder's output
-    /// buffer directly).
-    scratch: Vec<u8>,
-    payload_mode: PayloadMode,
     /// Gateway-level events (malformed control payloads); disabled by
     /// default like the bank's recorders.
     telemetry: Recorder,
@@ -176,8 +147,6 @@ impl EncoderGateway {
             nacks_malformed: 0,
             repairs_sent: 0,
             ip_id: 0,
-            scratch: Vec::new(),
-            payload_mode: PayloadMode::default(),
             telemetry: Recorder::disabled(),
         }
     }
@@ -196,14 +165,6 @@ impl EncoderGateway {
     #[must_use]
     pub fn with_control_addr(mut self, addr: Ipv4Addr) -> Self {
         self.control_addr = Some(addr);
-        self
-    }
-
-    /// Select how encoded payloads are handed to the next hop (see
-    /// [`PayloadMode`]); wire output is identical either way.
-    #[must_use]
-    pub fn with_payload_mode(mut self, mode: PayloadMode) -> Self {
-        self.payload_mode = mode;
         self
     }
 
@@ -357,22 +318,11 @@ impl EncoderGateway {
 
     fn encode_packet(&mut self, packet: &Packet) -> Packet {
         let meta = packet_meta(packet);
-        match self.payload_mode {
-            PayloadMode::Shared => {
-                // Freeze the encoder's output buffer into a shared handle
-                // (O(1)); the same allocation rides the channel, the
-                // decoder, and any retransmit queue untouched.
-                let outcome = self.encoder.encode(&meta, &packet.payload);
-                packet.with_payload(outcome.wire)
-            }
-            PayloadMode::Copied => {
-                // Legacy baseline: write into the reused scratch buffer,
-                // then copy it out into a fresh per-packet allocation.
-                self.encoder
-                    .encode_into(&meta, &packet.payload, &mut self.scratch);
-                packet.with_payload(Bytes::copy_from_slice(&self.scratch))
-            }
-        }
+        // Freeze the encoder's output buffer into a shared handle
+        // (O(1)); the same allocation rides the channel, the decoder,
+        // and any retransmit queue untouched.
+        let outcome = self.encoder.encode(&meta, &packet.payload);
+        packet.with_payload(outcome.wire)
     }
 
     /// Process a trace-level batch outside the event loop: data packets
@@ -402,10 +352,7 @@ impl EncoderGateway {
         }
         let outcomes = self.encoder.encode_batch(&encode_items);
         for ((slot, packet), outcome) in encode_slots.into_iter().zip(outcomes) {
-            out[slot] = Some(match self.payload_mode {
-                PayloadMode::Shared => packet.with_payload(outcome.wire),
-                PayloadMode::Copied => packet.with_payload(Bytes::copy_from_slice(&outcome.wire)),
-            });
+            out[slot] = Some(packet.with_payload(outcome.wire));
         }
         out.into_iter().flatten().collect()
     }
@@ -457,7 +404,6 @@ pub struct DecoderGateway {
     nacks_sent: u64,
     dropped: u64,
     ip_id: u16,
-    payload_mode: PayloadMode,
     /// Divergence recovery on/off (see [`with_recovery`](Self::with_recovery)).
     recovery: bool,
     /// Outstanding per-entry repair requests, bounded per flow and
@@ -544,7 +490,6 @@ impl DecoderGateway {
             nacks_sent: 0,
             dropped: 0,
             ip_id: 0,
-            payload_mode: PayloadMode::default(),
             recovery: false,
             pending_repairs: Vec::new(),
             pending_resyncs: Vec::new(),
@@ -603,14 +548,6 @@ impl DecoderGateway {
         self.decoder.wipe();
         self.pending_repairs.clear();
         self.pending_resyncs.clear();
-    }
-
-    /// Select how reconstructed payloads are produced (see
-    /// [`PayloadMode`]); results are byte-identical either way.
-    #[must_use]
-    pub fn with_payload_mode(mut self, mode: PayloadMode) -> Self {
-        self.payload_mode = mode;
-        self
     }
 
     /// Attach or detach this gateway from its client (the mobility
@@ -985,11 +922,7 @@ impl DecoderGateway {
         let mut out: Vec<Vec<Packet>> = Vec::with_capacity(packets.len());
         for packet in packets {
             if self.should_decode(&packet) {
-                let wire = match self.payload_mode {
-                    PayloadMode::Shared => packet.payload.clone(),
-                    PayloadMode::Copied => Bytes::copy_from_slice(&packet.payload),
-                };
-                decode_items.push((packet_meta(&packet), wire));
+                decode_items.push((packet_meta(&packet), packet.payload.clone()));
                 decode_slots.push((out.len(), packet));
                 out.push(Vec::new());
             } else {
@@ -1016,13 +949,9 @@ impl Node for DecoderGateway {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
         if self.should_decode(&packet) {
             let meta = packet_meta(&packet);
-            let (result, feedback) = match self.payload_mode {
-                // Zero-copy: raw bodies and literal regions come back as
-                // slices of the arriving packet's buffer.
-                PayloadMode::Shared => self.decoder.decode_shared(&packet.payload, &meta),
-                // Legacy baseline: copy the wire payload first.
-                PayloadMode::Copied => self.decoder.decode(&packet.payload, &meta),
-            };
+            // Zero-copy: raw bodies and literal regions come back as
+            // slices of the arriving packet's buffer.
+            let (result, feedback) = self.decoder.decode_shared(&packet.payload, &meta);
             if let Some(nack) = self.build_feedback_packet(&feedback) {
                 ctx.forward(nack);
             }

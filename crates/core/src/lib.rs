@@ -92,6 +92,8 @@ mod config;
 mod decoder;
 mod encoder;
 mod engine;
+#[cfg(test)]
+mod reference;
 mod sharded;
 mod stats;
 mod store;
@@ -99,7 +101,6 @@ mod store;
 pub use config::DreConfig;
 pub use decoder::{DecodeError, Decoder, Feedback};
 pub use encoder::{EncodeInfo, EncodeOutcome, Encoder};
-pub use engine::ScanMode;
 pub use migrate::{DecoderState, MigrateError, MigratedEntry};
 pub use policy::{PacketMeta, Policy, PolicyKind};
 pub use sharded::{shard_for, ShardFeedback, ShardedDecoder, ShardedEncoder};

@@ -91,14 +91,6 @@ impl ShardedEncoder {
         self.shards.len()
     }
 
-    /// Select the scan implementation on every shard (see
-    /// [`Encoder::set_scan_mode`]); wire output is identical either way.
-    pub fn set_scan_mode(&mut self, mode: crate::ScanMode) {
-        for shard in &mut self.shards {
-            shard.set_scan_mode(mode);
-        }
-    }
-
     /// The shard a flow maps to.
     #[must_use]
     pub fn shard_of(&self, flow: &FlowId) -> usize {

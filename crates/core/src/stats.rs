@@ -28,10 +28,8 @@ pub struct EncoderStats {
     /// packets" metric (File 1 averages 4, File 2 averages 7).
     pub sum_distinct_refs: u64,
     /// Total windows a rolling fingerprint was computed for — the true
-    /// per-byte CPU cost of the hot path. In fused mode this is exactly
-    /// one window per payload position; in the legacy two-pass mode it
-    /// is the scan's visited positions *plus* a full indexing re-scan,
-    /// which is what the fused pass eliminates.
+    /// per-byte CPU cost of the hot path: one window per payload
+    /// position, since the scan also collects what the index needs.
     pub scan_windows: u64,
     /// Fingerprinted windows that passed the sampler.
     pub sampled_windows: u64,

@@ -1025,13 +1025,13 @@ impl Cache {
     /// the window over its payload and index every sampled fingerprint.
     ///
     /// This is the decoder's whole per-byte cost (it never scans for
-    /// matches), and the path of state import, the encoder's legacy
-    /// two-pass mode and policy-suppressed packets. It rolls the payload
-    /// through the same multi-lane kernel as the encoder's batched scan
+    /// matches), and the path of state import and of packets a policy
+    /// sends unscanned. It rolls the payload through the same multi-lane
+    /// kernel as the encoder's scan
     /// ([`Fingerprinter::scan_sampled_batched`]) and files the pairs
     /// through the same insert loop as [`index_sampled`]
-    /// (Self::index_sampled), which the encoder's scanning modes feed
-    /// directly to skip the re-fingerprinting.
+    /// (Self::index_sampled), which the encoder feeds from its scan to
+    /// skip the re-fingerprinting.
     ///
     /// A packet that is no longer stored is skipped and counted, not
     /// indexed.

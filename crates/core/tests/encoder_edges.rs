@@ -282,3 +282,25 @@ fn match_fingerprint_outside_53_bits_is_a_missing_reference() {
     // The untouched shim still decodes.
     assert_eq!(dec.decode(&w2.wire, &meta(2200)).0.unwrap(), p);
 }
+
+#[test]
+#[should_panic(expected = "16-bit length fields")]
+fn payload_longer_than_the_shim_can_describe_is_refused() {
+    // Wire offsets and the original length are u16: a longer payload
+    // used to wrap them into a shim no decoder accepts.
+    let (mut enc, _) = pair();
+    enc.encode(&meta(1), &block(1, usize::from(u16::MAX) + 1));
+}
+
+#[test]
+fn largest_describable_payload_round_trips_raw_and_encoded() {
+    let (mut enc, mut dec) = pair();
+    let p = block(2, usize::from(u16::MAX));
+    for seq in [1, 100_000] {
+        let m = meta(seq);
+        let w = enc.encode(&m, &p);
+        let (r, _) = dec.decode(&w.wire, &m);
+        assert_eq!(r.unwrap(), p, "seq {seq}");
+    }
+    assert_eq!(enc.stats().encoded_packets, 1);
+}

@@ -20,21 +20,12 @@
 //!   ablation    extension — Bernoulli vs bursty loss at equal mean rate
 //!   tuning      §III-B    — DRE parameter (w, k) trade-offs
 //!   shardscale  extension — multi-flow throughput scaling across engine shards
-//!   hotpath     extension — batched vs fused vs two-pass encode throughput
-//!               (writes BENCH_hotpath.json; asserts cross-mode byte-identity,
-//!               round-trip integrity, and the batched-vs-fused regression gate)
-//!   simthroughput extension — campaign wall-clock (serial vs parallel,
-//!               byte-identical or exit 1) and zero-copy payload path
-//!               (writes BENCH_simthroughput.json)
 //!   recovery    extension — decoder cache wipe mid-transfer: stall time
 //!               and bytes sacrificed to safety (exit 1 on any corrupted
 //!               delivery)
-//!   capacity    extension — flash-crowd capacity: ~10k concurrent flows
-//!               through a sharded gateway bank; byte savings, stall
-//!               distributions, cache pressure, and heap-vs-wheel
-//!               events/sec (writes BENCH_capacity.json; exits 1 on
-//!               queue-kind divergence or a wheel regression below
-//!               0.9x heap)
+//!   capacity    extension — flash-crowd capacity: 25k concurrent flows
+//!               through a sharded gateway bank; byte savings, stall and
+//!               first-byte distributions, cache pressure
 //!   tournament  extension — every retransmission-mitigation arm (plain
 //!               TCP, the DRE policies, XOR network coding) on the same
 //!               channel realizations across loss model, loss rate,
@@ -56,18 +47,18 @@
 //! --sim-workers N runs each simulation on the deterministic engine: 1
 //!   is the serial oracle, >= 2 the conservative parallel (PDES)
 //!   engine. Results are byte-identical for every N >= 1. Default 0
-//!   keeps the legacy serial event loop. Wired into the scenario-based
-//!   harnesses (recovery, handoff), capacity, and simthroughput's
-//!   scaling sweep. Asking for more workers than the experiment's
-//!   topology has partitionable nodes is an error (exit 2) — the
-//!   engine would otherwise clamp silently.
-//! --queue heap|wheel pins the event-queue kind for the capacity and
-//!   handoff harnesses (default: run both / the wheel). Knobs are
+//!   keeps the legacy serial event loop. Wired into recovery, capacity,
+//!   handoff and tournament. Asking for more workers than the
+//!   experiment's topology has partitionable nodes is an error (exit 2)
+//!   — the engine would otherwise clamp silently.
+//! --queue heap|wheel pins the event-queue kind for the capacity,
+//!   handoff and tournament harnesses (default: the wheel). Knobs are
 //!   validated up front: naming one that the selected experiment
 //!   ignores is an error (exit 2), not a silent no-op.
 //! --metrics-out PATH writes a telemetry snapshot (JSONL) merged across
 //!   the instrumented harnesses that ran (fig6, fig10/fig11, stalltrace,
-//!   hotpath). Tables on stdout are byte-identical with or without it.
+//!   recovery, capacity, handoff, tournament). Tables on stdout are
+//!   byte-identical with or without it.
 //!
 //! `verify-metrics` parses a snapshot back (exit 1 on malformed input or
 //! a missing required counter/histogram key) — the CI telemetry smoke.
@@ -75,9 +66,8 @@
 
 use bytecache::PolicyKind;
 use bytecache_experiments::{
-    ablation, capacity, fig6, handoff, hotpath, insights, interflow, kdistance, mobility,
-    perceived, recovery, shardscale, simthroughput, stalltrace, sweep, table1, table2, tournament,
-    tuning, Campaign,
+    ablation, capacity, fig6, handoff, insights, interflow, kdistance, mobility, perceived,
+    recovery, shardscale, stalltrace, sweep, table1, table2, tournament, tuning, Campaign,
 };
 use bytecache_netsim::time::SimDuration;
 use bytecache_netsim::QueueKind;
@@ -237,8 +227,6 @@ fn main() {
         "ablation",
         "tuning",
         "shardscale",
-        "hotpath",
-        "simthroughput",
         "recovery",
         "capacity",
         "handoff",
@@ -252,14 +240,7 @@ fn main() {
     }
     // Validate knob combinations up front: a knob the selected
     // experiment ignores would otherwise be a silent no-op.
-    let sim_worker_aware = [
-        "simthroughput",
-        "recovery",
-        "capacity",
-        "handoff",
-        "tournament",
-        "all",
-    ];
+    let sim_worker_aware = ["recovery", "capacity", "handoff", "tournament", "all"];
     if sim_workers > 0 && !sim_worker_aware.contains(&what.as_str()) {
         eprintln!(
             "--sim-workers is not wired into '{what}'; it applies to: {}",
@@ -269,8 +250,8 @@ fn main() {
     }
     // A fixed-topology experiment cannot partition across more workers
     // than it has nodes; the engine would clamp silently, so asking for
-    // more is rejected as the contradiction it is. Experiments that
-    // scale their topology (capacity, simthroughput) have no bound.
+    // more is rejected as the contradiction it is. Capacity scales its
+    // topology with the crowd and has no bound.
     let node_bound: Option<(usize, &str)> = match what.as_str() {
         "recovery" => Some((4, "the 4-node recovery scenario")),
         "handoff" => Some((handoff::NODE_COUNT, "the 7-node handoff topologies")),
@@ -422,72 +403,6 @@ fn main() {
         };
         println!("{}", shardscale::render_sweep(&[1, 2, 4, 8], &base));
     }
-    if run("hotpath") {
-        let cases = hotpath::sweep(quick);
-        println!("{}", hotpath::render(&cases));
-        // The harness doubles as an end-to-end smoke test: every cell
-        // must have produced byte-identical wire output across all
-        // three scan modes, decoding back to the original payloads.
-        for c in &cases {
-            assert!(
-                c.verified,
-                "hotpath cross-mode integrity failed: {} B / {:.2} / {}",
-                c.payload_size, c.redundancy, c.policy
-            );
-        }
-        let json = hotpath::to_json(&cases);
-        std::fs::write("BENCH_hotpath.json", &json)
-            .expect("write BENCH_hotpath.json in the current directory");
-        let over_fused = hotpath::redundant_geomean_batched_over_fused(&cases);
-        println!(
-            "  wrote BENCH_hotpath.json (redundant sweep: batched {:.1} MiB/s geomean, \
-             {:.2}x over fused, {:.2}x over two-pass)\n",
-            hotpath::redundant_geomean_batched_mib_s(&cases),
-            over_fused,
-            hotpath::redundant_geomean_batched_over_two_pass(&cases)
-        );
-        // Regression gate: the batched default must not fall below the
-        // in-tree fused oracle beyond noise. Quick mode (CI, 1 rep on
-        // shared runners) gets a wider margin than the full sweep.
-        let margin = if quick { 0.85 } else { 0.90 };
-        assert!(
-            over_fused >= margin,
-            "hotpath regression: batched geomean is {over_fused:.3}x fused \
-             (gate: >= {margin:.2}x)"
-        );
-        if want_metrics {
-            // Untimed instrumented pass, separate from the timed loops.
-            metrics.merge(&hotpath::metrics(quick));
-        }
-    }
-    if run("simthroughput") {
-        let mut params = simthroughput::SimThroughputParams::new(quick).threads(threads);
-        if sim_workers >= 2 {
-            params = params.with_pdes_workers(sim_workers);
-        }
-        let result = simthroughput::run(&params);
-        println!("{}", simthroughput::render(&result));
-        // The harness doubles as the campaign-determinism smoke test:
-        // parallel output must match the serial reference byte-for-byte.
-        if !result.campaign.identical {
-            eprintln!("simthroughput: parallel campaign output diverged from the serial reference");
-            std::process::exit(1);
-        }
-        // Same contract for the in-simulator engine: every parallel
-        // digest must match the serial deterministic oracle.
-        if !result.pdes.identical {
-            eprintln!("simthroughput: PDES engine output diverged from the serial oracle");
-            std::process::exit(1);
-        }
-        let json = simthroughput::to_json(&result);
-        std::fs::write("BENCH_simthroughput.json", &json)
-            .expect("write BENCH_simthroughput.json in the current directory");
-        println!(
-            "  wrote BENCH_simthroughput.json (campaign {:.2}x on {} threads, \
-             payload sharing {:.2}x)\n",
-            result.campaign.speedup, result.campaign.threads, result.payload_gain
-        );
-    }
     if run("recovery") {
         let params = if quick {
             recovery::RecoveryParams::quick(scale.seeds).sim_workers(sim_workers)
@@ -537,44 +452,6 @@ fn main() {
             capacity::run(&params)
         };
         println!("{}", capacity::render(&r));
-        // The harness doubles as the queue-equivalence smoke test: every
-        // run (kinds x reps) must digest byte-identically.
-        if !r.identical {
-            eprintln!("capacity: queue kinds diverged — wheel is not byte-identical to heap");
-            std::process::exit(1);
-        }
-        // Wall-clock lines are prefixed so CI can strip them before
-        // byte-comparing stdout across queue kinds.
-        for t in &r.timing {
-            println!(
-                "  timing: queue={} secs={:.3} events_per_sec={:.0}",
-                t.queue, t.secs, t.events_per_sec
-            );
-        }
-        for t in &r.replay {
-            println!(
-                "  timing: replay queue={} secs={:.3} events_per_sec={:.0}",
-                t.queue, t.secs, t.events_per_sec
-            );
-        }
-        if let Some(ratio) = r.replay_wheel_over_heap {
-            println!("  timing: replay wheel_over_heap={ratio:.2}x (scheduler-isolated)");
-        }
-        if let Some(ratio) = r.wheel_over_heap {
-            println!("  timing: wheel_over_heap={ratio:.2}x (end-to-end)");
-            // Regression gate: the wheel default must not fall below the
-            // heap oracle beyond noise.
-            if ratio < 0.9 {
-                eprintln!(
-                    "capacity regression: wheel is {ratio:.3}x heap events/sec (gate: >= 0.90x)"
-                );
-                std::process::exit(1);
-            }
-            let json = capacity::to_json(&params, &r);
-            std::fs::write("BENCH_capacity.json", &json)
-                .expect("write BENCH_capacity.json in the current directory");
-            println!("  wrote BENCH_capacity.json");
-        }
         println!();
     }
     if run("handoff") {

@@ -33,9 +33,8 @@
 //! DRE runs within each cell.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// One splitmix64 step: the de-facto standard 64-bit seed mixer
 /// (Steele et al.), a bijection with strong avalanche behavior.
@@ -173,13 +172,16 @@ impl Campaign {
         let queue = Mutex::new(work);
         let results: Mutex<Vec<Option<U>>> = Mutex::new((0..total).map(|_| None).collect());
         let done = AtomicUsize::new(0);
+        // Cells run outside both locks, so a panicking cell cannot
+        // poison them; the scope re-raises its panic on join.
+        const UNPOISONED: &str = "no lock holder can panic";
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(|| loop {
-                    let item = queue.lock().pop();
+                    let item = queue.lock().expect(UNPOISONED).pop();
                     let Some((i, cell)) = item else { break };
                     let out = f(i, cell);
-                    results.lock()[i] = Some(out);
+                    results.lock().expect(UNPOISONED)[i] = Some(out);
                     let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
                     self.note_progress(label, completed, total, &started);
                 });
@@ -187,6 +189,7 @@ impl Campaign {
         });
         results
             .into_inner()
+            .expect(UNPOISONED)
             .into_iter()
             .map(|r| r.expect("every cell ran"))
             .collect()

@@ -23,10 +23,8 @@
 //! | [`stalltrace`] | Figures 4 & 5 — the circular-dependency event trace |
 //! | [`mobility`] | §II — handoff survival at the IP layer |
 //! | [`shardscale`] | beyond the paper — multi-flow throughput scaling across engine shards |
-//! | [`hotpath`] | beyond the paper — fused scan-and-index vs two-pass encoder throughput |
-//! | [`simthroughput`] | beyond the paper — parallel campaign wall-clock and zero-copy payload path |
 //! | [`recovery`] | beyond the paper — decoder cache wipe mid-transfer: stall time and bytes sacrificed to safety |
-//! | [`capacity`] | beyond the paper — 10k-flow flash crowd through a gateway bank; heap-vs-wheel events/sec |
+//! | [`capacity`] | beyond the paper — 25k-flow flash crowd through a gateway bank: savings, stall and first-byte distributions, cache pressure |
 //! | [`handoff`] | beyond the paper — multi-hop topologies and gateway handoff: resync vs cache migration, cache chains |
 //! | [`tournament`] | beyond the paper — every retransmission-mitigation arm (TCP, DRE policies, XOR network coding) on the same channel realizations |
 //!
@@ -47,7 +45,6 @@ pub mod capacity;
 pub mod fig6;
 pub mod handoff;
 pub mod host;
-pub mod hotpath;
 pub mod insights;
 pub mod interflow;
 pub mod kdistance;
@@ -58,7 +55,6 @@ pub mod recovery;
 pub mod report;
 pub mod scenario;
 pub mod shardscale;
-pub mod simthroughput;
 pub mod stalltrace;
 pub mod sweep;
 pub mod table1;

@@ -10,9 +10,9 @@
 //! topology already has 16 nodes, and the default contiguous block
 //! partition gives each worker whole chains.
 //!
-//! Because every run digests to a stable string, this doubles as the
-//! determinism probe the CI smoke and `simthroughput` harness use: the
-//! digest must be byte-identical for every `sim_workers` value.
+//! Every run digests to a stable string, which must be byte-identical
+//! for every `sim_workers` value: the tests below are the workspace's
+//! only multi-chain cross-engine check.
 
 use bytecache::gateway::{DecoderGateway, EncoderGateway};
 use bytecache::{Decoder, DreConfig, Encoder, PolicyKind};

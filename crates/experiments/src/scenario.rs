@@ -1,6 +1,6 @@
 //! Topology assembly and single-run execution (the paper's Figure 3).
 
-use bytecache::gateway::{DecoderGateway, EncoderGateway, PayloadMode};
+use bytecache::gateway::{DecoderGateway, EncoderGateway};
 use bytecache::{Decoder, DecoderStats, DreConfig, Encoder, EncoderStats, PolicyKind};
 use bytecache_netsim::channel::{ChannelConfig, LossModel};
 use bytecache_netsim::nc::{
@@ -72,9 +72,6 @@ pub struct ScenarioConfig {
     pub dre: DreConfig,
     /// TCP parameters.
     pub tcp: TcpConfig,
-    /// Gateway payload handling (shared ref-counted buffers vs legacy
-    /// per-hop copies); results are identical either way.
-    pub payload_mode: PayloadMode,
     /// Simulation seed (channel randomness).
     pub seed: u64,
     /// Collect a telemetry snapshot ([`RunResult::telemetry`]). Off by
@@ -140,7 +137,6 @@ impl ScenarioConfig {
                 max_retries: 15,
                 ..TcpConfig::default()
             },
-            payload_mode: PayloadMode::default(),
             seed: 1,
             telemetry: false,
             wipe_at: None,
@@ -173,13 +169,6 @@ impl ScenarioConfig {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Set the gateway payload mode (builder style).
-    #[must_use]
-    pub fn payload_mode(mut self, mode: PayloadMode) -> Self {
-        self.payload_mode = mode;
         self
     }
 
@@ -410,10 +399,8 @@ pub fn run_scenario(config: &ScenarioConfig) -> RunResult {
             let decoder = Decoder::new(config.dre.clone());
             let mut enc = EncoderGateway::new(encoder, CLIENT)
                 .with_control_addr(ENCODER_GW)
-                .with_payload_mode(config.payload_mode)
                 .with_wire_gen(config.wire_gen);
-            let mut dec = DecoderGateway::new(decoder, CLIENT, DECODER_GW)
-                .with_payload_mode(config.payload_mode);
+            let mut dec = DecoderGateway::new(decoder, CLIENT, DECODER_GW);
             if config.nacks {
                 dec = dec.with_nacks(ENCODER_GW);
             }
@@ -699,22 +686,6 @@ mod tests {
         );
         assert!(r.completed(), "cache-flush must survive loss: {r:?}");
         assert!(r.undecodable_drops > 0 || r.wireless.packets_lost > 0);
-    }
-
-    #[test]
-    fn payload_modes_agree_bit_for_bit() {
-        let object = FileSpec::File1.build(120_000, 2);
-        let cfg = ScenarioConfig::new(object)
-            .policy(PolicyKind::CacheFlush)
-            .loss(0.03)
-            .seed(5);
-        let shared = run_scenario(&cfg.clone().payload_mode(PayloadMode::Shared));
-        let copied = run_scenario(&cfg.payload_mode(PayloadMode::Copied));
-        assert_eq!(shared.end_time, copied.end_time);
-        assert_eq!(shared.wire_bytes(), copied.wire_bytes());
-        assert_eq!(shared.encoder, copied.encoder);
-        assert_eq!(shared.decoder, copied.decoder);
-        assert!(shared.completed() && copied.completed());
     }
 
     #[test]

@@ -87,8 +87,8 @@ pub struct ShardScaleResult {
     pub encode_secs: f64,
     /// Wall-clock seconds spent inside decoder `process_batch` calls.
     pub decode_secs: f64,
-    /// Windows the encoder shards rolled a fingerprint over (the fused
-    /// scan's per-byte CPU cost; see `EncoderStats::scan_windows`).
+    /// Windows the encoder shards rolled a fingerprint over (the scan's
+    /// per-byte CPU cost; see `EncoderStats::scan_windows`).
     pub scan_windows: u64,
     /// Encoder windows that passed the fingerprint sampler.
     pub sampled_windows: u64,
@@ -291,7 +291,7 @@ mod tests {
         assert!(r.verified, "{r:?}");
         assert_eq!(r.lost + r.undecodable, 0, "{r:?}");
         // The scan-effort counters surface through the gateway merge:
-        // one fused pass ⇒ roughly one window per payload byte.
+        // one pass ⇒ roughly one window per payload byte.
         assert!(r.scan_windows > 0 && r.scan_windows <= r.bytes_in, "{r:?}");
         assert!(r.index_insertions > 0, "{r:?}");
         assert!(r.sampled_windows >= r.index_insertions, "{r:?}");

@@ -124,10 +124,9 @@ impl Fingerprinter {
     /// Prime a rolling scan: the fingerprint of the *first* window of
     /// `data`, ready to be advanced with [`roll`](Self::roll).
     ///
-    /// This is the one shared startup path for every scalar window scan
-    /// — [`windows`](Self::windows) and the encoder's fused scan both
-    /// prime through here, so they cannot disagree on the initial state. Returns `None` if `data` is
-    /// shorter than the window.
+    /// This is the startup path of the scalar window scan
+    /// ([`windows`](Self::windows)). Returns `None` if `data` is shorter
+    /// than the window.
     #[inline]
     #[must_use]
     pub fn prime(&self, data: &[u8]) -> Option<u64> {

@@ -11,7 +11,6 @@
 //! wall-clock `span.*` histograms stripped — those time the host, not
 //! the simulation).
 
-use bytecache::gateway::PayloadMode;
 use bytecache::PolicyKind;
 use bytecache_experiments::{run_scenario, ScenarioConfig};
 use bytecache_netsim::time::SimDuration;
@@ -111,8 +110,7 @@ fn nacks_and_shared_payloads() {
     let mut cfg = ScenarioConfig::new(object())
         .policy(PolicyKind::KDistance(8))
         .loss(0.05)
-        .seed(2)
-        .payload_mode(PayloadMode::Shared);
+        .seed(2);
     cfg.nacks = true;
     assert_worker_invariant("nacks", cfg);
 }
