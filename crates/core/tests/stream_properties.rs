@@ -7,6 +7,7 @@ use bytecache_packet::{FlowId, SeqNum};
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 fn flow() -> FlowId {
     FlowId {
@@ -17,31 +18,44 @@ fn flow() -> FlowId {
     }
 }
 
+/// 600 bytes of pseudo-random content determined by `seed`.
+fn fresh(seed: u64) -> Vec<u8> {
+    (0..600usize)
+        .map(|i| {
+            let x = (i as u64 + seed * 104_729).wrapping_mul(0x9E3779B97F4A7C15);
+            (x >> 48) as u8
+        })
+        .collect()
+}
+
 /// A stream of payloads with controllable redundancy: each packet either
-/// introduces fresh pseudo-random content or repeats an earlier packet's
-/// content (possibly shifted), which is what makes matches appear.
+/// introduces fresh pseudo-random content or carries a stretch of an
+/// earlier packet at a random byte shift on both sides, so that matches
+/// start and end in the middle of source and target packet alike.
 fn arb_stream() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    // (seed, repeat, which earlier packet, offset there, offset here)
     proptest::collection::vec(
-        prop_oneof![
-            // Fresh content seeded by a small number.
-            (0u64..1000).prop_map(|seed| (seed, false)),
-            // Repeat of an earlier seed (mod the index, applied later).
-            (0u64..8).prop_map(|seed| (seed, true)),
-        ],
+        (
+            0u64..1000,
+            any::<bool>(),
+            any::<prop::sample::Index>(),
+            0usize..300,
+            0usize..300,
+        ),
         1..24,
     )
     .prop_map(|specs| {
-        specs
-            .iter()
-            .map(|&(seed, _repeat)| {
-                (0..600usize)
-                    .map(|i| {
-                        let x = (i as u64 + seed * 104_729).wrapping_mul(0x9E3779B97F4A7C15);
-                        (x >> 48) as u8
-                    })
-                    .collect::<Vec<u8>>()
-            })
-            .collect()
+        let mut stream: Vec<Vec<u8>> = Vec::new();
+        for (seed, repeat, earlier, from, to) in specs {
+            let mut payload = fresh(seed);
+            if repeat && !stream.is_empty() {
+                let source = &stream[earlier.index(stream.len())];
+                let len = 600 - from.max(to);
+                payload[to..to + len].copy_from_slice(&source[from..from + len]);
+            }
+            stream.push(payload);
+        }
+        stream
     })
 }
 
@@ -54,6 +68,93 @@ fn policies() -> Vec<PolicyKind> {
         PolicyKind::Adaptive,
         PolicyKind::Degrading,
     ]
+}
+
+/// Cases `lossy_never_corrupts` runs, and what they found so far: its
+/// last case checks that the generator reached the paper's bug.
+const LOSSY_CASES: u32 = 48;
+static LOSSY_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static NAIVE_STALLS: AtomicU32 = AtomicU32::new(0);
+
+/// Transmissions of one segment before the sender moves on.
+const MAX_TRIES: usize = 4;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(LOSSY_CASES))]
+
+    /// Lossy channel with retransmission, every policy on every case.
+    ///
+    /// A stop-and-wait sender: each segment is sent, and sent again with
+    /// the same sequence number, until the decoder has it or
+    /// [`MAX_TRIES`] are spent. That is the paper's trigger (Fig. 4/5):
+    /// the retransmission meets an encoder cache that holds the lost
+    /// copy of itself.
+    ///
+    /// * Safety, all policies: every *successfully decoded* packet is
+    ///   exact. Silent corruption would be a real bug; drops are not.
+    /// * Sec. V-A/V-B, `CacheFlush` and `TcpSeq`: a retransmission the
+    ///   channel delivers decodes — as long as the sender has abandoned
+    ///   no segment, which later ones could lean on.
+    /// * Across the cases `Naive` must hit an undecodable
+    ///   retransmission at least once, or the generator is not
+    ///   reaching the bug the safe policies exist to fix.
+    #[test]
+    fn lossy_never_corrupts(
+        stream in arb_stream(),
+        drops in proptest::collection::vec(any::<bool>(), 1..40),
+    ) {
+        for kind in policies() {
+            let config = DreConfig::default();
+            let mut enc = Encoder::new(config.clone(), kind.build());
+            let mut dec = Decoder::new(config);
+            let safe = matches!(kind, PolicyKind::CacheFlush | PolicyKind::TcpSeq);
+            let mut sent = 0;
+            let mut abandoned = false;
+            for (i, payload) in stream.iter().enumerate() {
+                let m = PacketMeta {
+                    flow: flow(),
+                    seq: SeqNum::new(1000 + (i as u32) * 600),
+                    payload_len: payload.len(),
+                    flow_index: 0,
+                };
+                let payload = Bytes::from(payload.clone());
+                let mut got_through = false;
+                for attempt in 0..MAX_TRIES {
+                    let w = enc.encode(&m, &payload);
+                    let dropped = drops[sent % drops.len()];
+                    sent += 1;
+                    if dropped {
+                        continue; // channel ate it; decoder never sees it
+                    }
+                    match dec.decode(&w.wire, &m).0 {
+                        Ok(decoded) => {
+                            prop_assert_eq!(decoded, payload, "policy {:?} packet {}", kind, i);
+                            got_through = true;
+                            break;
+                        }
+                        Err(e) if attempt > 0 => {
+                            if kind == PolicyKind::Naive {
+                                NAIVE_STALLS.fetch_add(1, Ordering::Relaxed);
+                            }
+                            prop_assert!(
+                                !safe || abandoned,
+                                "policy {:?}: delivered retransmission {} of packet {} lost to {}",
+                                kind, attempt, i, e
+                            );
+                        }
+                        Err(_) => {}
+                    }
+                }
+                abandoned |= !got_through;
+            }
+        }
+        if LOSSY_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == LOSSY_CASES {
+            prop_assert!(
+                NAIVE_STALLS.load(Ordering::Relaxed) > 0,
+                "no case made a retransmission undecodable under Naive"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -77,38 +178,6 @@ proptest! {
             let w = enc.encode(&m, &payload);
             let (r, _) = dec.decode(&w.wire, &m);
             prop_assert_eq!(r.expect("lossless must decode"), payload);
-        }
-    }
-
-    /// Lossy channel ⇒ every *successfully decoded* packet is exact.
-    /// (Silent corruption would be a real bug; drops are expected.)
-    #[test]
-    fn lossy_never_corrupts(
-        stream in arb_stream(),
-        drops in proptest::collection::vec(any::<bool>(), 1..40),
-        policy_idx in 0usize..6,
-    ) {
-        let kind = policies()[policy_idx];
-        let config = DreConfig::default();
-        let mut enc = Encoder::new(config.clone(), kind.build());
-        let mut dec = Decoder::new(config);
-        for (i, payload) in stream.iter().enumerate() {
-            let m = PacketMeta {
-                flow: flow(),
-                seq: SeqNum::new(1000 + (i as u32) * 600),
-                payload_len: payload.len(),
-                flow_index: 0,
-            };
-            let payload = Bytes::from(payload.clone());
-            let w = enc.encode(&m, &payload);
-            let dropped = drops.get(i % drops.len()).copied().unwrap_or(false);
-            if dropped {
-                continue; // channel ate it; decoder never sees it
-            }
-            let (r, _) = dec.decode(&w.wire, &m);
-            if let Ok(decoded) = r {
-                prop_assert_eq!(decoded, payload, "policy {:?} packet {}", kind, i);
-            }
         }
     }
 

@@ -1,68 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
-//! ```text
-//! repro <experiment> [--quick] [--threads N] [--sim-workers N] [--queue KIND]
-//!                    [--metrics-out PATH]
-//! repro verify-metrics PATH [--require key1,key2,...]
-//!
-//! experiments:
-//!   table1      Table I   — redundancy of web objects vs cache window
-//!   fig6        Figure 6  — naive policy stalls at 1% loss
-//!   fig10       Figure 10 — bytes-sent ratio vs loss rate
-//!   fig11       Figure 11 — download-time ratio vs loss rate
-//!   fig12       Figure 12 — k-distance parameter sweep
-//!   fig13       Figure 13 — perceived vs actual loss rate
-//!   table2      Table II  — the three schemes at 5%/10% loss
-//!   insights    §VII      — packet size vs count at 9% loss
-//!   stalltrace  Figures 4/5 — annotated circular-dependency trace
-//!   mobility    §II       — mid-download handoff survival
-//!   interflow   §I/IV-C   — inter-flow savings through shared gateways
-//!   ablation    extension — Bernoulli vs bursty loss at equal mean rate
-//!   tuning      §III-B    — DRE parameter (w, k) trade-offs
-//!   shardscale  extension — multi-flow throughput scaling across engine shards
-//!   recovery    extension — decoder cache wipe mid-transfer: stall time
-//!               and bytes sacrificed to safety (exit 1 on any corrupted
-//!               delivery)
-//!   capacity    extension — flash-crowd capacity: 25k concurrent flows
-//!               through a sharded gateway bank; byte savings, stall and
-//!               first-byte distributions, cache pressure
-//!   tournament  extension — every retransmission-mitigation arm (plain
-//!               TCP, the DRE policies, XOR network coding) on the same
-//!               channel realizations across loss model, loss rate,
-//!               propagation, rate limit, and workload redundancy;
-//!               frontier winner map (writes BENCH_tournament.json;
-//!               exits 1 on a corrupted delivery or any cross-mode
-//!               digest divergence)
-//!   handoff     extension — multi-hop topologies and gateway handoff:
-//!               resync vs cache migration on a 2-hop cache chain and a
-//!               4-gateway mesh; per-hop savings, stalls, bytes
-//!               sacrificed (writes BENCH_handoff.json; exits 1 on a
-//!               corrupted delivery or any cross-mode digest divergence)
-//!   sweep       alias for fig10 + fig11
-//!   all         everything above
-//!
-//! --quick shrinks object sizes and seed counts (~10x faster).
-//! --threads N runs experiment grids on N campaign workers (default:
-//!   one per available CPU); output is byte-identical for every N.
-//! --sim-workers N runs each simulation on the deterministic engine: 1
-//!   is the serial oracle, >= 2 the conservative parallel (PDES)
-//!   engine. Results are byte-identical for every N >= 1. Default 0
-//!   keeps the legacy serial event loop. Wired into recovery, capacity,
-//!   handoff and tournament. Asking for more workers than the
-//!   experiment's topology has partitionable nodes is an error (exit 2)
-//!   — the engine would otherwise clamp silently.
-//! --queue heap|wheel pins the event-queue kind for the capacity,
-//!   handoff and tournament harnesses (default: the wheel). Knobs are
-//!   validated up front: naming one that the selected experiment
-//!   ignores is an error (exit 2), not a silent no-op.
-//! --metrics-out PATH writes a telemetry snapshot (JSONL) merged across
-//!   the instrumented harnesses that ran (fig6, fig10/fig11, stalltrace,
-//!   recovery, capacity, handoff, tournament). Tables on stdout are
-//!   byte-identical with or without it.
-//!
-//! `verify-metrics` parses a snapshot back (exit 1 on malformed input or
-//! a missing required counter/histogram key) — the CI telemetry smoke.
-//! ```
+//! `repro --help` prints the experiments and flags ([`USAGE`], also
+//! shown after an unknown flag or experiment name).
 
 use bytecache::PolicyKind;
 use bytecache_experiments::{
@@ -71,6 +10,63 @@ use bytecache_experiments::{
 };
 use bytecache_netsim::time::SimDuration;
 use bytecache_netsim::QueueKind;
+
+/// What `--help` prints: every experiment arm and every flag.
+const USAGE: &str = "\
+repro <experiment> [--quick] [--threads N] [--queue KIND] [--metrics-out PATH]
+repro verify-metrics PATH [--require key1,key2,...]
+repro --help
+
+experiments:
+  table1      Table I   - redundancy of web objects vs cache window
+  fig6        Figure 6  - naive policy stalls at 1% loss
+  fig10       Figure 10 - bytes-sent ratio vs loss rate
+  fig11       Figure 11 - download-time ratio vs loss rate
+  fig12       Figure 12 - k-distance parameter sweep
+  fig13       Figure 13 - perceived vs actual loss rate
+  table2      Table II  - the three schemes at 5%/10% loss
+  insights    Sec. VII  - packet size vs count at 9% loss
+  stalltrace  Figures 4/5 - annotated circular-dependency trace
+  mobility    Sec. II   - mid-download handoff survival
+  interflow   Sec. I/IV-C - inter-flow savings through shared gateways
+  ablation    extension - Bernoulli vs bursty loss at equal mean rate
+  tuning      Sec. III-B - DRE parameter (w, k) trade-offs
+  shardscale  extension - multi-flow throughput scaling across engine shards
+  recovery    extension - decoder cache wipe mid-transfer: stall time and
+              bytes sacrificed to safety (exit 1 on any corrupted delivery)
+  capacity    extension - flash-crowd capacity: 25k concurrent flows through
+              a sharded gateway bank; byte savings, stall and first-byte
+              distributions, cache pressure
+  handoff     extension - multi-hop topologies and gateway handoff: resync vs
+              cache migration on a 2-hop cache chain and a 4-gateway mesh;
+              per-hop savings, stalls, bytes sacrificed (writes
+              BENCH_handoff.json; exits 1 on a corrupted delivery or a
+              digest that differs between queue kinds or with telemetry on)
+  tournament  extension - every retransmission-mitigation arm (plain TCP, the
+              DRE policies, XOR network coding) on the same channel
+              realizations across loss model, loss rate, propagation, rate
+              limit and workload redundancy; frontier winner map (writes
+              BENCH_tournament.json; exits as handoff does)
+  sweep       alias for fig10 + fig11
+  all         everything above (the default)
+
+flags:
+  --quick             shrink object sizes and seed counts (~10x faster)
+  --threads N         run experiment grids on N campaign workers (default:
+                      one per available CPU); output is byte-identical for
+                      every N
+  --queue heap|wheel  pin the event-queue kind for capacity, handoff and
+                      tournament (default: the wheel); an error (exit 2) on
+                      an experiment that ignores it
+  --metrics-out PATH  write a telemetry snapshot (JSONL) merged across the
+                      instrumented harnesses that ran (fig6, fig10/fig11,
+                      stalltrace, recovery, capacity, handoff, tournament);
+                      stdout is byte-identical with or without it
+  --help, -h          print this text
+
+verify-metrics parses a snapshot back: exit 1 on malformed input or on a
+missing --require'd counter or histogram key.
+";
 
 struct Scale {
     object_size: usize,
@@ -140,7 +136,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let mut threads = 0usize; // 0 = one worker per available CPU
-    let mut sim_workers = 0usize; // 0 = legacy serial event loop
     let mut queue: Option<QueueKind> = None; // None = harness default
     let mut metrics_out: Option<String> = None;
     let mut require: Vec<String> = Vec::new();
@@ -149,6 +144,9 @@ fn main() {
     while let Some(arg) = it.next() {
         if arg == "--quick" {
             // Already consumed above.
+        } else if arg == "--help" || arg == "-h" {
+            print!("{USAGE}");
+            std::process::exit(0);
         } else if arg == "--queue" {
             queue = match it.next().map(String::as_str) {
                 Some("heap") => Some(QueueKind::Heap),
@@ -170,15 +168,6 @@ fn main() {
                     eprintln!("--threads needs a positive integer");
                     std::process::exit(2);
                 });
-        } else if arg == "--sim-workers" {
-            sim_workers = it
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| {
-                    eprintln!("--sim-workers needs a positive integer");
-                    std::process::exit(2);
-                });
         } else if arg == "--metrics-out" {
             metrics_out = Some(it.next().cloned().unwrap_or_else(|| {
                 eprintln!("--metrics-out needs a path");
@@ -192,8 +181,8 @@ fn main() {
                     eprintln!("--require needs a comma-separated key list");
                     std::process::exit(2);
                 });
-        } else if arg.starts_with("--") {
-            eprintln!("unknown flag '{arg}'; see the header of src/bin/repro.rs for usage");
+        } else if arg.starts_with('-') {
+            eprintln!("unknown flag '{arg}'\n\n{USAGE}");
             std::process::exit(2);
         } else {
             positional.push(arg);
@@ -235,41 +224,11 @@ fn main() {
         "all",
     ];
     if !known.contains(&what.as_str()) {
-        eprintln!("unknown experiment '{what}'; one of: {}", known.join(", "));
+        eprintln!("unknown experiment '{what}'\n\n{USAGE}");
         std::process::exit(2);
     }
-    // Validate knob combinations up front: a knob the selected
-    // experiment ignores would otherwise be a silent no-op.
-    let sim_worker_aware = ["recovery", "capacity", "handoff", "tournament", "all"];
-    if sim_workers > 0 && !sim_worker_aware.contains(&what.as_str()) {
-        eprintln!(
-            "--sim-workers is not wired into '{what}'; it applies to: {}",
-            sim_worker_aware.join(", ")
-        );
-        std::process::exit(2);
-    }
-    // A fixed-topology experiment cannot partition across more workers
-    // than it has nodes; the engine would clamp silently, so asking for
-    // more is rejected as the contradiction it is. Capacity scales its
-    // topology with the crowd and has no bound.
-    let node_bound: Option<(usize, &str)> = match what.as_str() {
-        "recovery" => Some((4, "the 4-node recovery scenario")),
-        "handoff" => Some((handoff::NODE_COUNT, "the 7-node handoff topologies")),
-        "tournament" => Some((
-            tournament::NODE_COUNT,
-            "the tournament's smallest (4-node) chain",
-        )),
-        _ => None,
-    };
-    if let Some((bound, desc)) = node_bound {
-        if sim_workers > bound {
-            eprintln!(
-                "--sim-workers {sim_workers} exceeds the {bound} partitionable nodes of {desc}; \
-                 pass at most {bound}"
-            );
-            std::process::exit(2);
-        }
-    }
+    // A knob the selected experiment ignores would otherwise be a
+    // silent no-op.
     let queue_aware = ["capacity", "handoff", "tournament", "all"];
     if queue.is_some() && !queue_aware.contains(&what.as_str()) {
         eprintln!(
@@ -405,14 +364,13 @@ fn main() {
     }
     if run("recovery") {
         let params = if quick {
-            recovery::RecoveryParams::quick(scale.seeds).sim_workers(sim_workers)
+            recovery::RecoveryParams::quick(scale.seeds)
         } else {
             recovery::RecoveryParams {
                 object_size: scale.object_size,
                 seeds: scale.seeds,
                 ..recovery::RecoveryParams::default()
             }
-            .sim_workers(sim_workers)
         };
         let pts = if want_metrics {
             let (pts, rec) = recovery::run_with_metrics(&campaign, &params);
@@ -442,7 +400,6 @@ fn main() {
         } else {
             capacity::CapacityParams::full()
         }
-        .sim_workers(sim_workers)
         .queue(queue);
         let r = if want_metrics {
             let (r, rec) = capacity::run_with_metrics(&params);
@@ -460,7 +417,6 @@ fn main() {
         } else {
             handoff::HandoffParams::full(scale.seeds)
         }
-        .sim_workers(sim_workers)
         .queue(queue);
         let pts = if want_metrics {
             let (pts, rec) = handoff::run_with_metrics(&campaign, &params);
@@ -485,16 +441,16 @@ fn main() {
             }
         }
         // And as the subsystem's determinism contract: the same runs
-        // must digest byte-identically across exec modes, queue kinds,
-        // worker counts, and telemetry on/off.
+        // must digest byte-identically on both queue kinds and with
+        // telemetry on or off.
         let check = handoff::determinism_check(&params);
         if !check.identical {
-            eprintln!("handoff: digests diverged across exec modes / queue kinds");
+            eprintln!("handoff: digests diverged between queue kinds or with telemetry on");
             std::process::exit(1);
         }
         println!(
             "  handoff determinism: {} combos, {} runs byte-identical across \
-             SerialDet/Parallel{{2,4}} x heap/wheel x telemetry on/off",
+             heap/wheel and telemetry on/off",
             check.combos, check.runs
         );
         let json = handoff::to_json(&pts);
@@ -509,7 +465,6 @@ fn main() {
         } else {
             tournament::TournamentParams::full(scale.seeds.min(3))
         }
-        .sim_workers(sim_workers)
         .queue(queue);
         let pts = if want_metrics {
             let (pts, rec) = tournament::run_with_metrics(&campaign, &params);
@@ -537,16 +492,16 @@ fn main() {
             }
         }
         // And as the subsystem's determinism contract: the same runs
-        // must digest byte-identically across exec modes, queue kinds,
-        // worker counts, and telemetry on/off.
+        // must digest byte-identically on both queue kinds and with
+        // telemetry on or off.
         let check = tournament::determinism_check(&params);
         if !check.identical {
-            eprintln!("tournament: digests diverged across exec modes / queue kinds");
+            eprintln!("tournament: digests diverged between queue kinds or with telemetry on");
             std::process::exit(1);
         }
         println!(
             "  tournament determinism: {} arms, {} runs byte-identical across \
-             SerialDet/Parallel{{2,4}} x heap/wheel x telemetry on/off",
+             heap/wheel and telemetry on/off",
             check.combos, check.runs
         );
         match tournament::nc_vs_cacheflush(&pts) {

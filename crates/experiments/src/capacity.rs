@@ -23,8 +23,7 @@
 //!
 //! `repro capacity` runs the crowd once, on the event-queue kind
 //! `--queue` names (the simulator's default otherwise). The report has
-//! no wall-clock value in it and is byte-identical for both kinds and
-//! for every `--sim-workers` count from 1 up.
+//! no wall-clock value in it and is byte-identical for both kinds.
 
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
@@ -33,7 +32,7 @@ use bytecache::gateway::{DecoderGateway, EncoderGateway};
 use bytecache::{Decoder, DreConfig, Encoder, PolicyKind};
 use bytecache_netsim::channel::{ChannelConfig, LossModel};
 use bytecache_netsim::time::SimDuration;
-use bytecache_netsim::{ExecMode, LinkConfig, LinkId, QueueKind, Simulator};
+use bytecache_netsim::{LinkConfig, LinkId, QueueKind, Simulator};
 use bytecache_tcp::{TcpClientNode, TcpConfig, TcpServerNode};
 use bytecache_telemetry::{Histogram, Recorder};
 use bytecache_workload::{flash_crowd, generate, ObjectKind};
@@ -70,9 +69,6 @@ pub struct CapacityParams {
     pub link_rate: u64,
     /// Simulation seed (channel + workload randomness).
     pub seed: u64,
-    /// Simulator workers: `0` legacy serial, `1` deterministic serial
-    /// oracle, `>= 2` the conservative parallel engine.
-    pub sim_workers: usize,
     /// Event-queue kind; `None` uses the simulator's default.
     pub queue: Option<QueueKind>,
 }
@@ -94,7 +90,6 @@ impl CapacityParams {
             receive_window: 17_376, // 12 x MSS
             link_rate: 2_000_000,
             seed: 42,
-            sim_workers: 0,
             queue: None,
         }
     }
@@ -134,16 +129,8 @@ impl CapacityParams {
             receive_window: 34_752, // 24 x MSS: the whole object can be in flight
             link_rate: 250_000,
             seed: 42,
-            sim_workers: 0,
             queue: None,
         }
-    }
-
-    /// Set the simulator worker count (builder style).
-    #[must_use]
-    pub fn sim_workers(mut self, workers: usize) -> Self {
-        self.sim_workers = workers;
-        self
     }
 
     /// Pin the event-queue kind (builder style).
@@ -154,8 +141,8 @@ impl CapacityParams {
     }
 }
 
-/// Everything the harness measured. Every field is deterministic, the
-/// same on both queue kinds, and the same for every `sim_workers >= 1`.
+/// Everything the harness measured. Every field is deterministic and
+/// the same on both queue kinds.
 #[derive(Debug, Clone)]
 pub struct CapacityResult {
     /// Flows launched.
@@ -241,11 +228,6 @@ fn run_one(params: &CapacityParams, with_metrics: bool) -> (CapacityResult, Opti
 
     let mut sim = Simulator::new(params.seed);
     sim.set_queue_kind(params.queue.unwrap_or_default());
-    match params.sim_workers {
-        0 => {}
-        1 => sim.set_exec_mode(ExecMode::SerialDet),
-        w => sim.set_exec_mode(ExecMode::Parallel { workers: w }),
-    }
     if with_metrics {
         sim.set_telemetry_enabled(true);
     }
@@ -615,7 +597,6 @@ mod tests {
             receive_window: 17_376,
             link_rate: 2_000_000,
             seed: 7,
-            sim_workers: 0,
             queue: None,
         }
     }
@@ -625,6 +606,7 @@ mod tests {
         let heap = run(&tiny().queue(Some(QueueKind::Heap)));
         let r = run(&tiny().queue(Some(QueueKind::Wheel)));
         assert_eq!(heap.digest, r.digest, "heap and wheel must agree");
+        assert_eq!(run(&tiny()).digest, r.digest, "unpinned runs on the wheel");
         assert_eq!(r.completed, 40, "clean channel: every flow completes");
         assert_eq!(r.aborted, 0);
         assert!(r.peak_concurrent > 1, "arrivals must overlap");
@@ -638,22 +620,6 @@ mod tests {
         let table = render(&r).render();
         assert!(table.contains("flash crowd"));
         assert_eq!(table, render(&heap).render());
-    }
-
-    #[test]
-    fn pinned_queue_runs_single_kind_and_pdes_matches() {
-        // Unpinned, the crowd runs on the wheel.
-        assert_eq!(
-            run(&tiny()).digest,
-            run(&tiny().queue(Some(QueueKind::Wheel))).digest
-        );
-        // The deterministic engines agree with each other under both
-        // kinds (the full cross-product lives in the netsim proptests).
-        for kind in [QueueKind::Heap, QueueKind::Wheel] {
-            let w1 = run(&tiny().queue(Some(kind)).sim_workers(1));
-            let w2 = run(&tiny().queue(Some(kind)).sim_workers(2));
-            assert_eq!(w1.digest, w2.digest, "{kind:?}");
-        }
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! DRE run. Reported: stall means, bytes sacrificed (wire ratio vs
 //! baseline), per-hop savings, resync/migration counts, and in-flight
 //! drops at the handoff boundary. [`determinism_check`] asserts the
-//! whole thing is byte-identical across `ExecMode × QueueKind ×
-//! workers` and with telemetry on or off.
+//! whole thing is byte-identical on both `QueueKind`s and with
+//! telemetry on or off.
 
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
@@ -42,9 +42,7 @@ use bytecache::gateway::{DecoderGateway, EncoderGateway};
 use bytecache::{Decoder, DreConfig, Encoder, PolicyKind};
 use bytecache_netsim::channel::ChannelConfig;
 use bytecache_netsim::time::{SimDuration, SimTime};
-use bytecache_netsim::{
-    ExecMode, LinkConfig, LinkId, Mobility, NodeId, QueueKind, Simulator, Topology,
-};
+use bytecache_netsim::{LinkConfig, LinkId, Mobility, NodeId, QueueKind, Simulator, Topology};
 use bytecache_tcp::{TcpClientNode, TcpConfig, TcpServerNode};
 use bytecache_telemetry::Recorder;
 use bytecache_workload::FileSpec;
@@ -64,11 +62,6 @@ const CTRL_B: Ipv4Addr = Ipv4Addr::new(10, 0, 1, 2);
 fn decoder_addr(i: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 2, i + 1)
 }
-
-/// Both shapes assemble exactly this many simulator nodes — the bound
-/// `repro` enforces on `--sim-workers` (more workers than nodes cannot
-/// be partitioned).
-pub const NODE_COUNT: usize = 7;
 
 /// How the new gateway acquires cache state at a handoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,9 +140,6 @@ pub struct HandoffParams {
     /// Bound on the serialized migration transfer; oldest entries are
     /// shed first. `None` transfers everything.
     pub migrate_budget: Option<usize>,
-    /// Simulator worker threads per run (`0` legacy serial, `1` the
-    /// deterministic serial oracle, `>= 2` the parallel engine).
-    pub sim_workers: usize,
     /// Event-queue kind; `None` uses the timing wheel. The
     /// [`determinism_check`] covers both kinds regardless.
     pub queue: Option<QueueKind>,
@@ -169,7 +159,6 @@ impl HandoffParams {
             seeds,
             handoff_ms: 150,
             migrate_budget: Some(512 * 1024),
-            sim_workers: 0,
             queue: None,
         }
     }
@@ -186,16 +175,8 @@ impl HandoffParams {
             seeds,
             handoff_ms: 400,
             migrate_budget: Some(512 * 1024),
-            sim_workers: 0,
             queue: None,
         }
-    }
-
-    /// Set the simulator worker count (builder style).
-    #[must_use]
-    pub fn sim_workers(mut self, workers: usize) -> Self {
-        self.sim_workers = workers;
-        self
     }
 
     /// Pin the event-queue kind (builder style).
@@ -473,18 +454,12 @@ fn run_one(
     object: &[u8],
     seed: u64,
     handoff_ms: u64,
-    sim_workers: usize,
     queue: QueueKind,
     migrate_budget: Option<usize>,
     dre: bool,
     telemetry: bool,
 ) -> OneRun {
     let mut sim = Simulator::new(seed);
-    match sim_workers {
-        0 => {}
-        1 => sim.set_exec_mode(ExecMode::SerialDet),
-        w => sim.set_exec_mode(ExecMode::Parallel { workers: w }),
-    }
     sim.set_queue_kind(queue);
     if telemetry {
         sim.set_telemetry_enabled(true);
@@ -692,7 +667,6 @@ fn run_case(
         object,
         seed,
         params.handoff_ms,
-        params.sim_workers,
         queue,
         params.migrate_budget,
         dre,
@@ -861,7 +835,7 @@ fn point(
     )
 }
 
-/// Outcome of the cross-mode byte-identity sweep.
+/// Outcome of the byte-identity sweep.
 #[derive(Debug, Clone)]
 pub struct IdentityCheck {
     /// Every variant digested byte-identically to its reference.
@@ -875,9 +849,8 @@ pub struct IdentityCheck {
 /// Assert the handoff subsystem's determinism contract on every
 /// (shape, strategy) of `params`: the run digest — delivery, per-hop
 /// wire bytes, every gateway's counters, the final clock — must be
-/// byte-identical across `SerialDet` and `Parallel{2, 4}`, across
-/// [`QueueKind::Heap`] and [`QueueKind::Wheel`], and with telemetry
-/// collection on or off.
+/// byte-identical on [`QueueKind::Heap`] and [`QueueKind::Wheel`] and
+/// with telemetry collection on or off.
 #[must_use]
 pub fn determinism_check(params: &HandoffParams) -> IdentityCheck {
     let object = FileSpec::File1.build(params.object_size, 42);
@@ -887,14 +860,8 @@ pub fn determinism_check(params: &HandoffParams) -> IdentityCheck {
     let mut identical = true;
     let mut combos = 0;
     let mut runs = 0;
-    // (workers, queue, telemetry); the reference is (1, Heap, off).
-    let variants: &[(usize, QueueKind, bool)] = &[
-        (1, QueueKind::Wheel, false),
-        (1, QueueKind::Heap, true), // telemetry on/off identity
-        (2, QueueKind::Heap, false),
-        (2, QueueKind::Wheel, false),
-        (4, QueueKind::Heap, false),
-    ];
+    // (queue, telemetry); the reference is (Heap, off).
+    let variants = [(QueueKind::Wheel, false), (QueueKind::Heap, true)];
     for &shape in &params.shapes {
         for &strategy in &params.strategies {
             combos += 1;
@@ -906,14 +873,13 @@ pub fn determinism_check(params: &HandoffParams) -> IdentityCheck {
                 &object,
                 seed,
                 params.handoff_ms,
-                1,
                 QueueKind::Heap,
                 params.migrate_budget,
                 true,
                 false,
             );
             runs += 1;
-            for &(workers, queue, telemetry) in variants {
+            for (queue, telemetry) in variants {
                 let got = run_one(
                     shape,
                     strategy,
@@ -922,7 +888,6 @@ pub fn determinism_check(params: &HandoffParams) -> IdentityCheck {
                     &object,
                     seed,
                     params.handoff_ms,
-                    workers,
                     queue,
                     params.migrate_budget,
                     true,
@@ -1046,79 +1011,8 @@ mod tests {
             seeds: 1,
             handoff_ms: 120,
             migrate_budget: Some(512 * 1024),
-            sim_workers: 0,
             queue: None,
         }
-    }
-
-    #[test]
-    #[ignore = "diagnostic seed scan"]
-    fn scan_worker_divergence() {
-        let object = FileSpec::File1.build(150_000, 42);
-        let mut diverged = 0;
-        for shape in [TopologyShape::Chain2Hop, TopologyShape::Mesh4] {
-            for strategy in [HandoffStrategy::Resync, HandoffStrategy::Migrate] {
-                for dre in [false, true] {
-                    for seed in 0..20u64 {
-                        let budget = Some(512 * 1024);
-                        let a = run_one(
-                            shape,
-                            strategy,
-                            0.03,
-                            false,
-                            &object,
-                            seed,
-                            150,
-                            1,
-                            QueueKind::Wheel,
-                            budget,
-                            dre,
-                            false,
-                        );
-                        let b = run_one(
-                            shape,
-                            strategy,
-                            0.03,
-                            false,
-                            &object,
-                            seed,
-                            150,
-                            2,
-                            QueueKind::Wheel,
-                            budget,
-                            dre,
-                            false,
-                        );
-                        if a.digest != b.digest {
-                            diverged += 1;
-                            let legacy = run_one(
-                                shape,
-                                strategy,
-                                0.03,
-                                false,
-                                &object,
-                                seed,
-                                150,
-                                0,
-                                QueueKind::Wheel,
-                                budget,
-                                dre,
-                                false,
-                            );
-                            eprintln!(
-                                "DIVERGE shape={:?} strat={:?} dre={} seed={} w2==legacy={}",
-                                shape,
-                                strategy,
-                                dre,
-                                seed,
-                                b.digest == legacy.digest
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(diverged, 0, "{diverged} diverging runs");
     }
 
     #[test]
@@ -1184,7 +1078,7 @@ mod tests {
         );
         params.wipe = vec![true];
         let check = determinism_check(&params);
-        assert!(check.identical, "handoff runs diverged across modes");
+        assert!(check.identical, "handoff runs diverged");
         assert_eq!(check.combos, 4);
     }
 

@@ -49,7 +49,6 @@ pub mod insights;
 pub mod interflow;
 pub mod kdistance;
 pub mod mobility;
-pub mod multiflow;
 pub mod perceived;
 pub mod recovery;
 pub mod report;

@@ -77,11 +77,6 @@ pub struct RecoveryParams {
     pub policies: Vec<PolicyKind>,
     /// Seeds per (policy, loss, wipe) cell.
     pub seeds: u64,
-    /// Simulator worker threads per run (`0` legacy serial, `1` the
-    /// deterministic serial oracle, `>= 2` the parallel engine).
-    /// Results are byte-identical for every value `>= 1`; `0` keeps
-    /// the historical serial outputs.
-    pub sim_workers: usize,
 }
 
 impl Default for RecoveryParams {
@@ -99,7 +94,6 @@ impl Default for RecoveryParams {
                 PolicyKind::Degrading,
             ],
             seeds: 5,
-            sim_workers: 0,
         }
     }
 }
@@ -116,15 +110,7 @@ impl RecoveryParams {
             wipe_ms: vec![100],
             policies: vec![PolicyKind::CacheFlush, PolicyKind::TcpSeq],
             seeds,
-            sim_workers: 0,
         }
-    }
-
-    /// Set the simulator worker count (builder style).
-    #[must_use]
-    pub fn sim_workers(mut self, workers: usize) -> Self {
-        self.sim_workers = workers;
-        self
     }
 }
 
@@ -185,7 +171,6 @@ fn grid(
             params.object_size,
             params.seeds,
             telemetry,
-            params.sim_workers,
         )
     })
 }
@@ -200,7 +185,6 @@ fn point(
     size: usize,
     seeds: u64,
     telemetry: bool,
-    sim_workers: usize,
 ) -> (RecoveryPoint, Recorder) {
     let object = FileSpec::File1.build(size, 42);
     let mut stall_sum = 0.0;
@@ -218,12 +202,7 @@ fn point(
     };
     for run in 0..seeds {
         let seed = campaign.seed(cell, run);
-        let baseline = run_scenario(
-            &ScenarioConfig::new(object.clone())
-                .loss(loss)
-                .seed(seed)
-                .sim_workers(sim_workers),
-        );
+        let baseline = run_scenario(&ScenarioConfig::new(object.clone()).loss(loss).seed(seed));
         let dre = run_scenario(
             &ScenarioConfig::new(object.clone())
                 .policy(policy)
@@ -231,8 +210,7 @@ fn point(
                 .seed(seed)
                 .recovery()
                 .wipe_at(SimDuration::from_millis(wipe_ms))
-                .telemetry(telemetry)
-                .sim_workers(sim_workers),
+                .telemetry(telemetry),
         );
         if let Some(snapshot) = &dre.telemetry {
             recorder.merge(snapshot);
@@ -351,7 +329,6 @@ mod tests {
             wipe_ms: vec![100],
             policies: vec![PolicyKind::CacheFlush, PolicyKind::TcpSeq],
             seeds: 2,
-            sim_workers: 0,
         };
         let pts = run(&params);
         assert_eq!(pts.len(), 4);
@@ -400,7 +377,6 @@ mod tests {
             wipe_ms: vec![100],
             policies: vec![PolicyKind::Degrading],
             seeds: 1,
-            sim_workers: 0,
         };
         let rendered = render(&run(&params)).render();
         assert!(rendered.contains("cache wipe"));

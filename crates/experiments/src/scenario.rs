@@ -7,7 +7,7 @@ use bytecache_netsim::nc::{
     NcConfig, NcDecoderNode, NcDecoderStats, NcEncoderNode, NcEncoderStats, NcTuning,
 };
 use bytecache_netsim::time::{SimDuration, SimTime};
-use bytecache_netsim::{Context, ExecMode, LinkConfig, LinkStats, Node, QueueKind, Simulator};
+use bytecache_netsim::{Context, LinkConfig, LinkStats, Node, QueueKind, Simulator};
 use bytecache_packet::{FlowId, Packet};
 use bytecache_tcp::{DownloadReport, ServerReport, TcpClientNode, TcpConfig, TcpServerNode};
 use bytecache_telemetry::Recorder;
@@ -95,13 +95,6 @@ pub struct ScenarioConfig {
     /// Enable the decoder gateway's recovery state machine (resync and
     /// repair requests over the control channel). Requires `nacks`.
     pub recovery: bool,
-    /// Simulator worker threads. `0` (the default) keeps the legacy
-    /// serial event loop and its historical outputs byte-for-byte;
-    /// any value `>= 1` switches to the deterministic ordering
-    /// contract — `1` runs it serially (the oracle), more run the
-    /// conservative PDES engine. All values `>= 1` produce identical
-    /// results to each other.
-    pub sim_workers: usize,
     /// Bracket the wireless hop with the network-coded retransmission
     /// pair ([`NcEncoderNode`]/[`NcDecoderNode`]): the chain grows to
     /// six nodes and XOR repair frames ride the lossy link alongside
@@ -145,7 +138,6 @@ impl ScenarioConfig {
             reorder_burst_len: 1,
             wire_gen: false,
             recovery: false,
-            sim_workers: 0,
             nc: None,
             queue: None,
         }
@@ -199,15 +191,6 @@ impl ScenarioConfig {
     #[must_use]
     pub fn reorder_burst(mut self, len: u32) -> Self {
         self.reorder_burst_len = len;
-        self
-    }
-
-    /// Set the simulator worker count (builder style). `0` keeps the
-    /// legacy serial loop; `>= 1` selects the deterministic engine
-    /// (`1` = serial oracle, more = parallel PDES).
-    #[must_use]
-    pub fn sim_workers(mut self, workers: usize) -> Self {
-        self.sim_workers = workers;
         self
     }
 
@@ -363,11 +346,6 @@ pub fn run_scenario(config: &ScenarioConfig) -> RunResult {
 
     let object_len = config.object.len();
     let mut sim = Simulator::new(config.seed);
-    match config.sim_workers {
-        0 => {}
-        1 => sim.set_exec_mode(ExecMode::SerialDet),
-        w => sim.set_exec_mode(ExecMode::Parallel { workers: w }),
-    }
     if let Some(queue) = config.queue {
         sim.set_queue_kind(queue);
     }
@@ -465,8 +443,8 @@ pub fn run_scenario(config: &ScenarioConfig) -> RunResult {
             };
             let nc_enc = sim.add_node(NcEncoderNode::new(nc_cfg(NC_ENC)));
             let nc_dec = sim.add_node(NcDecoderNode::new(nc_cfg(NC_DEC)));
-            // Near-zero-cost hops into the coder nodes; nonzero
-            // propagation keeps the PDES lookahead positive.
+            // Near-zero-cost hops into the coder nodes (1 µs: recorded
+            // outputs are pinned on this value).
             let hop = LinkConfig {
                 rate_bytes_per_sec: None,
                 propagation: SimDuration::from_micros(1),

@@ -21,8 +21,8 @@
 //! repair packet beat a smaller retransmission?
 //!
 //! [`determinism_check`] asserts the subsystem contract: every arm's
-//! runs digest byte-identically across `SerialDet`/`Parallel{2,4}`,
-//! heap/wheel event queues, and telemetry on/off.
+//! runs digest byte-identically on heap/wheel event queues and with
+//! telemetry on/off.
 
 use bytecache::PolicyKind;
 use bytecache_netsim::nc::NcTuning;
@@ -36,11 +36,6 @@ use std::fmt::Write as _;
 use crate::campaign::Campaign;
 use crate::report::Table;
 use crate::scenario::{run_scenario, RunResult, ScenarioConfig};
-
-/// Partitionable nodes of the smallest topology in the matrix: the
-/// non-NC arms run the classic 4-node chain (the NC arm has 6), so the
-/// `repro` binary bounds `--sim-workers` at 4.
-pub const NODE_COUNT: usize = 4;
 
 /// One contender in the tournament.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -152,9 +147,6 @@ pub struct TournamentParams {
     pub redundancy: Vec<f64>,
     /// Seeds per cell.
     pub seeds: u64,
-    /// Simulator worker threads per run (`0` legacy serial, `1` the
-    /// deterministic serial oracle, `>= 2` the parallel engine).
-    pub sim_workers: usize,
     /// Event-queue kind override (`None`: simulator default).
     pub queue: Option<QueueKind>,
 }
@@ -181,7 +173,6 @@ impl TournamentParams {
             rates: vec![500_000, 1_000_000],
             redundancy: vec![0.25, 0.50],
             seeds,
-            sim_workers: 0,
             queue: None,
         }
     }
@@ -199,16 +190,8 @@ impl TournamentParams {
             rates: vec![1_000_000],
             redundancy: vec![0.50],
             seeds,
-            sim_workers: 0,
             queue: None,
         }
-    }
-
-    /// Set the simulator worker count (builder style).
-    #[must_use]
-    pub fn sim_workers(mut self, workers: usize) -> Self {
-        self.sim_workers = workers;
-        self
     }
 
     /// Pin the event-queue kind (builder style).
@@ -246,7 +229,6 @@ fn scenario_for(
         .loss(loss)
         .seed(seed)
         .telemetry(telemetry)
-        .sim_workers(params.sim_workers)
         .queue(params.queue);
     cfg.burst_len = channel.burst_len();
     cfg.wireless_propagation = SimDuration::from_micros(prop_us);
@@ -598,7 +580,7 @@ pub fn nc_vs_cacheflush(points: &[TournamentPoint]) -> Option<NcComparison> {
     })
 }
 
-/// Outcome of the cross-mode byte-identity sweep.
+/// Outcome of the byte-identity sweep.
 #[derive(Debug, Clone)]
 pub struct IdentityCheck {
     /// Every variant digested byte-identically to its reference.
@@ -612,9 +594,8 @@ pub struct IdentityCheck {
 /// Assert the tournament's determinism contract on every arm of
 /// `params` at its harshest channel (burstiest process, highest loss):
 /// the run digest — delivery, wire counters, middlebox counters, the
-/// final clock — must be byte-identical across `SerialDet` and
-/// `Parallel{2, 4}`, across [`QueueKind::Heap`] and
-/// [`QueueKind::Wheel`], and with telemetry collection on or off.
+/// final clock — must be byte-identical on [`QueueKind::Heap`] and
+/// [`QueueKind::Wheel`] and with telemetry collection on or off.
 #[must_use]
 pub fn determinism_check(params: &TournamentParams) -> IdentityCheck {
     let loss = params.losses.iter().copied().fold(0.0, f64::max);
@@ -633,14 +614,8 @@ pub fn determinism_check(params: &TournamentParams) -> IdentityCheck {
     let mut identical = true;
     let mut combos = 0;
     let mut runs = 0;
-    // (workers, queue, telemetry); the reference is (1, Heap, off).
-    let variants: &[(usize, QueueKind, bool)] = &[
-        (1, QueueKind::Wheel, false),
-        (1, QueueKind::Heap, true), // telemetry on/off identity
-        (2, QueueKind::Heap, false),
-        (2, QueueKind::Wheel, false),
-        (4, QueueKind::Heap, false),
-    ];
+    // (queue, telemetry); the reference is (Heap, off).
+    let variants = [(QueueKind::Wheel, false), (QueueKind::Heap, true)];
     for &arm in &params.arms {
         combos += 1;
         let reference = digest_one(
@@ -652,14 +627,13 @@ pub fn determinism_check(params: &TournamentParams) -> IdentityCheck {
             prop_us,
             rate,
             seed,
-            1,
             QueueKind::Heap,
             false,
         );
         runs += 1;
-        for &(workers, queue, telemetry) in variants {
+        for (queue, telemetry) in variants {
             let got = digest_one(
-                params, &object, arm, channel, loss, prop_us, rate, seed, workers, queue, telemetry,
+                params, &object, arm, channel, loss, prop_us, rate, seed, queue, telemetry,
             );
             runs += 1;
             identical &= got == reference;
@@ -682,12 +656,10 @@ fn digest_one(
     prop_us: u64,
     rate: u64,
     seed: u64,
-    workers: usize,
     queue: QueueKind,
     telemetry: bool,
 ) -> String {
     let mut p = params.clone();
-    p.sim_workers = workers;
     p.queue = Some(queue);
     let r = run_scenario(&scenario_for(
         &p,
@@ -915,7 +887,6 @@ mod tests {
             rates: vec![1_000_000],
             redundancy: vec![0.50],
             seeds: 2,
-            sim_workers: 0,
             queue: None,
         }
     }
@@ -988,10 +959,10 @@ mod tests {
         let check = determinism_check(&params);
         assert!(
             check.identical,
-            "digests diverged across exec modes / queue kinds"
+            "digests diverged across queue kinds / telemetry"
         );
         assert_eq!(check.combos, 3);
-        assert_eq!(check.runs, 18);
+        assert_eq!(check.runs, 9);
     }
 
     #[test]

@@ -19,17 +19,12 @@
 //! crucial for the paper's experiments, which compare encoding policies
 //! on *identical* channel realizations.
 //!
-//! # Execution modes
+//! # Execution
 //!
-//! The simulator runs in one of three [`ExecMode`]s (default
-//! [`ExecMode::Serial`], the original single-threaded loop). The
-//! deterministic pair — [`ExecMode::SerialDet`] (the oracle) and
-//! [`ExecMode::Parallel`] (a conservative PDES across worker threads,
-//! using per-link propagation delay as lookahead) — order same-time
-//! events by `(origin node, per-origin seq)` and draw channel
-//! randomness from per-link RNG streams, so their output is
-//! byte-identical to each other at any worker count and for any
-//! partition.
+//! One single-threaded event loop: events fire in `(time, insertion
+//! seq)` order and every link draws channel randomness from the
+//! simulator's one seeded RNG, so a run depends on nothing but the seed
+//! and the topology (DESIGN.md §14).
 //!
 //! # Example
 //!
@@ -49,22 +44,18 @@ pub mod channel;
 pub mod nc;
 pub mod time;
 
-mod engine;
 mod fxhash;
 mod link;
 mod node;
-mod partition;
 mod sim;
 mod stats;
-mod synchronizer;
 pub mod topology;
 mod trace;
 mod wheel;
-mod worker;
 
 pub use link::{LinkConfig, LinkId};
 pub use node::{Action, Context, Node, NodeId};
-pub use sim::{AsAny, ExecMode, Simulator};
+pub use sim::{AsAny, Simulator};
 pub use stats::LinkStats;
 pub use topology::{Hop, Mobility, Topology};
 pub use trace::{FnTrace, TelemetrySink, TraceEvent, TraceSink};

@@ -77,12 +77,8 @@ impl LinkConfig {
     }
 }
 
-/// Outcome of pushing one packet through a link's shaper + channel.
-///
-/// Shared semantics core for the serial loop and the PDES workers: the
-/// caller wraps it with its own telemetry/trace emission and event
-/// scheduling, so both engines update `busy_until`, stats and the
-/// channel RNG identically.
+/// Outcome of pushing one packet through a link's shaper + channel; the
+/// event loop wraps it with telemetry/trace emission and scheduling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TxVerdict {
     /// Channel dropped the packet.
@@ -94,13 +90,11 @@ pub(crate) enum TxVerdict {
     /// Packet arrives late (reordered) at `arrive`.
     Reorder { arrive: SimTime },
     /// Packet arrives at `arrive` and a duplicate copy at `copy`
-    /// (the copy is scheduled *first*, matching the historical serial
-    /// insertion order).
+    /// (the copy is scheduled *first*, the historical insertion order).
     Duplicate { arrive: SimTime, copy: SimTime },
 }
 
-/// Runtime state of a link (owned by the simulator, or by the worker
-/// owning the link's sender while a parallel run is in flight).
+/// Runtime state of a link.
 #[derive(Debug)]
 pub(crate) struct LinkState {
     pub(crate) config: LinkConfig,
@@ -108,10 +102,6 @@ pub(crate) struct LinkState {
     /// Time at which the transmitter finishes its current backlog.
     pub(crate) busy_until: SimTime,
     pub(crate) stats: crate::stats::LinkStats,
-    /// Deterministic per-link RNG stream, seeded from (sim seed,
-    /// link id) in the deterministic exec modes. `None` in legacy
-    /// serial mode, where the simulator's global RNG is used instead.
-    pub(crate) rng: Option<StdRng>,
 }
 
 impl LinkState {
@@ -121,21 +111,13 @@ impl LinkState {
             config,
             busy_until: SimTime::ZERO,
             stats: crate::stats::LinkStats::default(),
-            rng: None,
         }
     }
 
     /// Push one packet of `wire` serialized bytes through the shaper
-    /// and channel at `now`, updating `busy_until`, stats and whichever
-    /// RNG stream this link draws from. `global_rng` is the simulator's
-    /// global RNG (legacy serial mode); deterministic modes seed
-    /// `self.rng` before the run and never touch the global stream.
-    pub(crate) fn transmit(
-        &mut self,
-        now: SimTime,
-        wire: usize,
-        global_rng: Option<&mut StdRng>,
-    ) -> TxVerdict {
+    /// and channel at `now`, updating `busy_until` and stats and drawing
+    /// the channel's decision from `rng` (the simulator's one stream).
+    pub(crate) fn transmit(&mut self, now: SimTime, wire: usize, rng: &mut StdRng) -> TxVerdict {
         self.stats.packets_offered += 1;
         self.stats.bytes_offered += wire as u64;
 
@@ -143,10 +125,6 @@ impl LinkState {
         let done = depart + self.config.serialization_time(wire);
         self.busy_until = done;
 
-        let rng = match self.rng.as_mut() {
-            Some(r) => r,
-            None => global_rng.expect("legacy serial mode must supply the global RNG"),
-        };
         match self.channel.verdict(rng) {
             Verdict::Lose => {
                 self.stats.packets_lost += 1;
@@ -218,10 +196,6 @@ impl LinkTable {
             _ => self.chunks.push(vec![link]),
         }
     }
-
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut LinkState> {
-        self.chunks.iter_mut().flatten()
-    }
 }
 
 impl std::ops::Index<usize> for LinkTable {
@@ -237,23 +211,6 @@ impl std::ops::IndexMut<usize> for LinkTable {
     #[inline]
     fn index_mut(&mut self, id: usize) -> &mut LinkState {
         &mut self.chunks[id / Self::CHUNK][id % Self::CHUNK]
-    }
-}
-
-impl IntoIterator for LinkTable {
-    type Item = LinkState;
-    type IntoIter = std::iter::Flatten<std::vec::IntoIter<Vec<LinkState>>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.chunks.into_iter().flatten()
-    }
-}
-
-impl FromIterator<LinkState> for LinkTable {
-    fn from_iter<I: IntoIterator<Item = LinkState>>(links: I) -> Self {
-        let mut table = LinkTable::default();
-        links.into_iter().for_each(|link| table.push(link));
-        table
     }
 }
 
@@ -314,10 +271,7 @@ mod tests {
             assert_eq!(table[i].stats.packets_offered, i as u64);
             table[i].stats.packets_lost = 1;
         }
-        assert_eq!(table.iter_mut().count(), n);
-        let back: LinkTable = table.into_iter().collect();
-        assert_eq!(back.len(), n);
-        assert!((0..n).all(|i| back[i].stats.packets_offered == i as u64));
-        assert_eq!(back[LinkTable::CHUNK].stats.packets_lost, 1);
+        assert!((0..n).all(|i| table[i].stats.packets_offered == i as u64));
+        assert_eq!(table[LinkTable::CHUNK].stats.packets_lost, 1);
     }
 }

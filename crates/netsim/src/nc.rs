@@ -52,7 +52,7 @@
 //! The pair draws nothing from any RNG: repair subsets come from a
 //! splitmix64 hash of the block id, and every iteration that emits
 //! packets walks ordered containers. Runs are byte-identical across
-//! `ExecMode`/`QueueKind`/worker counts like every other node.
+//! both `QueueKind`s like every other node.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::Ipv4Addr;
@@ -330,7 +330,9 @@ impl Node for NcEncoderNode {
                 let p = &packet.payload;
                 let seen = u32::from_be_bytes([p[5], p[6], p[7], p[8]]);
                 let lost = u32::from_be_bytes([p[9], p[10], p[11], p[12]]);
-                if seen > 0 {
+                // More lost than seen is not a loss rate: consume the
+                // frame but keep it out of the estimate.
+                if seen > 0 && lost <= seen {
                     let sample = f64::from(lost) / f64::from(seen);
                     let a = self.cfg.tuning.alpha;
                     self.p_est = (1.0 - a) * self.p_est + a * sample;
@@ -915,6 +917,135 @@ mod tests {
         assert!(enc.estimated_loss() > before + 0.1);
         assert!(enc.cfg.tuning.block_size(enc.p_est) < 8);
         assert_eq!(enc.stats().feedback_frames, 1);
+    }
+
+    #[test]
+    fn feedback_claiming_more_lost_than_seen_is_ignored() {
+        let mut enc = NcEncoderNode::new(cfg(NcTuning::default()));
+        let mut payload = NC_MAGIC.to_be_bytes().to_vec();
+        payload.push(TYPE_FEEDBACK);
+        payload.extend_from_slice(&1u32.to_be_bytes()); // seen
+        payload.extend_from_slice(&u32::MAX.to_be_bytes()); // lost
+        let frame = Packet::builder()
+            .src(CLIENT, NC_PORT)
+            .dst(SERVER, NC_PORT)
+            .payload(payload)
+            .build();
+        assert!(deliver(&mut enc, frame).is_empty(), "consumed");
+        assert_eq!(enc.stats().feedback_frames, 1, "and counted");
+        assert_eq!(enc.estimated_loss(), 0.0);
+        assert_eq!(enc.cfg.tuning.block_size(enc.p_est), 32);
+        assert_eq!(enc.cfg.tuning.repairs(enc.p_est), 1);
+    }
+
+    /// Every truncation of `payload`, then every byte XORed with 0x01,
+    /// 0x80 and 0xFF, each tagged with whether it is a truncation and
+    /// the offset it damaged.
+    fn mutations(payload: &[u8]) -> Vec<(bool, usize, Vec<u8>)> {
+        let mut out: Vec<_> = (0..payload.len())
+            .map(|cut| (true, cut, payload[..cut].to_vec()))
+            .collect();
+        for at in 0..payload.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bad = payload.to_vec();
+                bad[at] ^= flip;
+                out.push((false, at, bad));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hostile_repair_frames_are_rejected_whole() {
+        // Two blocks of three. Block 0 reaches the decoder with two
+        // members missing, so its repair stays pending; block 1 loses
+        // member 0, and its repair is the frame under attack.
+        let mut enc = NcEncoderNode::new(cfg(fixed_tuning(3)));
+        let mut emitted: Vec<Packet> = Vec::new();
+        for i in 0..6u32 {
+            emitted.extend(deliver(&mut enc, data_packet(1000 + i * 100, i as u8, 40)));
+        }
+        assert_eq!(emitted.len(), 8);
+        let repair = emitted[7].clone();
+        let lost = emitted[4].clone();
+        let primed = || {
+            let mut dec = NcDecoderNode::new(cfg(fixed_tuning(3)));
+            for i in [0, 3, 5, 6] {
+                deliver(&mut dec, emitted[i].clone());
+            }
+            assert_eq!(dec.blocks.len(), 1, "block 0 is pending");
+            dec
+        };
+        let state = |dec: &NcDecoderNode| {
+            (
+                dec.blocks
+                    .iter()
+                    .map(|(id, b)| (*id, b.equations.len()))
+                    .collect::<Vec<_>>(),
+                dec.ring_order.clone(),
+                (dec.fb_seen, dec.fb_lost, dec.fb_blocks),
+            )
+        };
+
+        let mut dec = primed();
+        assert_eq!(deliver(&mut dec, repair.clone()), vec![lost.clone()]);
+
+        // Offsets whose damage breaks the frame's structure: the magic,
+        // the member count and the parity length.
+        let structural = |at: usize| at < 4 || at == 9 || (18..22).contains(&at);
+        for (truncated, at, bad) in mutations(&repair.payload) {
+            let mut dec = primed();
+            let before = state(&dec);
+            let out = deliver(&mut dec, repair.with_payload(bad));
+            let what = if truncated { "cut" } else { "flip" };
+            for p in &out {
+                assert_eq!(Packet::from_bytes(&p.to_bytes()).as_ref(), Ok(p));
+                assert_eq!(p, &lost, "{what} at {at} forwarded a mangled packet");
+            }
+            let rejected = dec.stats().malformed_repairs == 1;
+            if truncated || structural(at) {
+                assert!(rejected, "{what} at {at} was not counted as malformed");
+            }
+            if rejected {
+                assert!(out.is_empty(), "{what} at {at}: rejected yet forwarded");
+                assert_eq!(state(&dec), before, "{what} at {at}: rejected yet kept");
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_feedback_frames_never_touch_the_open_block() {
+        let t = NcTuning {
+            feedback_every_blocks: 1,
+            ..fixed_tuning(2)
+        };
+        let mut enc = NcEncoderNode::new(cfg(t.clone()));
+        let mut dec = NcDecoderNode::new(cfg(t.clone()));
+        let mut feedback = Vec::new();
+        for i in 0..2u32 {
+            for p in deliver(&mut enc, data_packet(1000 + i * 100, i as u8, 40)) {
+                feedback.extend(deliver(&mut dec, p));
+            }
+        }
+        let feedback: Vec<Packet> = feedback
+            .into_iter()
+            .filter(|p| nc_frame_type(p) == Some(TYPE_FEEDBACK))
+            .collect();
+        assert_eq!(feedback.len(), 1);
+        let frame = &feedback[0];
+
+        for (truncated, at, bad) in mutations(&frame.payload) {
+            let mut enc = NcEncoderNode::new(cfg(t.clone()));
+            deliver(&mut enc, data_packet(5000, 9, 40)); // opens block 0
+            let out = deliver(&mut enc, frame.with_payload(bad));
+            assert!(out.is_empty(), "NC-port frames terminate at the coder");
+            assert_eq!((enc.block_id, enc.members.len()), (0, 1));
+            if truncated || at < 5 {
+                // Too short, wrong magic or wrong type: not feedback.
+                assert_eq!(enc.stats().feedback_frames, 0);
+                assert_eq!(enc.estimated_loss(), t.initial_loss);
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The event loop: queue, routing, links, and node dispatch.
 //!
-//! The simulator runs in one of three [`ExecMode`]s. `Serial` is the
-//! original single-threaded loop and stays the default; `SerialDet`
-//! runs the same loop under the partition-invariant ordering contract
-//! (per-origin event keys, per-link RNG streams) and is the live oracle
-//! for `Parallel`, the conservative PDES engine in [`crate::engine`].
+//! One single-threaded loop. Events pop in `(time, insertion seq)`
+//! order — same-time ties fire in the order they were scheduled — and
+//! every channel decision draws from one RNG seeded at construction, so
+//! a run is a pure function of the seed and the topology. DESIGN.md §14
+//! records why there is no parallel engine.
 
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -17,10 +17,9 @@ use rand::SeedableRng;
 use crate::fxhash::RouteMap;
 use crate::link::{LinkConfig, LinkId, LinkState, LinkTable, TxVerdict};
 use crate::node::{Action, Context, Node, NodeId};
-use crate::partition::link_rng_seed;
 use crate::stats::LinkStats;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{OwnedTraceEvent, TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use crate::wheel::{EventQueue, QueueKind, ScheduleOp};
 
 /// Blanket helper granting `Any`-style downcasting to all nodes, so the
@@ -42,57 +41,10 @@ impl<T: Any> AsAny for T {
     }
 }
 
-/// How [`Simulator::run_until_idle`] executes the event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The original single-threaded loop: one global event queue with a
-    /// global insertion-order tie-break and one global channel RNG.
-    /// This is the default and is byte-identical to the historical
-    /// behaviour of the crate.
-    Serial,
-    /// The serial loop under the partition-invariant ordering contract:
-    /// same-time events are ordered by `(origin node, per-origin seq)`
-    /// instead of global insertion order, and every link draws channel
-    /// randomness from its own seeded stream instead of the global RNG.
-    /// Results are independent of how nodes would be partitioned, which
-    /// makes this mode the live oracle for [`ExecMode::Parallel`].
-    SerialDet,
-    /// Conservative parallel discrete-event simulation across `workers`
-    /// threads, under the same ordering contract as
-    /// [`ExecMode::SerialDet`] — output is byte-identical to it at any
-    /// worker count and for any partition.
-    Parallel {
-        /// Number of worker threads (clamped to the node count).
-        workers: usize,
-    },
-}
-
-/// Origin tag for environment-scheduled events (route changes), sorting
-/// after all node origins at equal timestamps.
-pub(crate) const ENV_ORIGIN: u64 = u64::MAX;
-
-/// Ordering key for replayed trace/telemetry events in the
-/// deterministic modes: `(phase, processing-event key, emission index)`
-/// where phase 0 is the start sweep (`on_start`, node-id order) and
-/// phase 1 is event processing. The deterministic modes buffer these
-/// emissions and flush them sorted at the end of each run call, so the
-/// serial oracle and the parallel engine produce the same sequence
-/// regardless of partitioning or heap-insertion anomalies (a zero-delay
-/// event can be created *below* the currently-processed key).
-pub(crate) type ReplayKey = (u8, EventKey, u32);
-
-/// Total order on events: time, then origin, then per-origin sequence.
-///
-/// In legacy [`ExecMode::Serial`], `origin` holds the global insertion
-/// seq and `seq` is 0, reproducing the historical `(at, seq)` order
-/// exactly. In the deterministic modes `origin` is the creating node's
-/// index ([`ENV_ORIGIN`] for pre-scheduled environment events) and
-/// `seq` a per-origin counter — a key both the serial oracle and every
-/// PDES worker can compute identically.
+/// Total order on events: time, then global insertion sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct EventKey {
     pub(crate) at: SimTime,
-    pub(crate) origin: u64,
     pub(crate) seq: u64,
 }
 
@@ -127,9 +79,9 @@ pub(crate) struct Queued {
 // assertions fail the build if `Packet` or a new variant grows the
 // record past that budget.
 const _: () = {
-    assert!(std::mem::size_of::<EventKey>() == 24);
+    assert!(std::mem::size_of::<EventKey>() == 16);
     assert!(std::mem::size_of::<Event>() <= 96);
-    assert!(std::mem::size_of::<Queued>() <= 120);
+    assert!(std::mem::size_of::<Queued>() <= 112);
 };
 
 impl PartialEq for Queued {
@@ -155,56 +107,39 @@ impl Ord for Queued {
 /// [crate docs](crate) for the model and an end-to-end example in the
 /// `bytecache-experiments` crate.
 pub struct Simulator {
-    pub(crate) now: SimTime,
-    /// Global insertion counter (legacy serial tie-break).
-    pub(crate) seq: u64,
-    /// Per-node event-creation counters (deterministic modes).
-    pub(crate) origin_seqs: Vec<u64>,
-    /// Environment event counter (deterministic modes).
-    pub(crate) env_seq: u64,
-    pub(crate) mode: ExecMode,
-    pub(crate) seed: u64,
-    pub(crate) partition: Option<Vec<usize>>,
-    pub(crate) queue: EventQueue,
-    pub(crate) nodes: Vec<Box<dyn SimNode>>,
-    pub(crate) links: LinkTable,
+    now: SimTime,
+    /// Insertion counter: the same-time tie-break of [`EventKey`].
+    seq: u64,
+    queue: EventQueue,
+    nodes: Vec<Box<dyn SimNode>>,
+    links: LinkTable,
     /// Per-node outgoing adjacency: `out_links[from]` lists
     /// `(to, link)` pairs sorted by `to`. Node ids are dense small
     /// integers, so this replaces the per-dispatch `HashMap` lookup
     /// with an indexed load plus a binary search — O(1) for the usual
     /// one- or two-entry list, O(log degree) for gateway hubs with
     /// hundreds of adjacent nodes.
-    pub(crate) out_links: Vec<Vec<(NodeId, LinkId)>>,
-    pub(crate) routes: Vec<RouteMap>,
-    pub(crate) rng: StdRng,
-    pub(crate) no_route_drops: u64,
-    pub(crate) trace: Option<Box<dyn TraceSink>>,
-    pub(crate) telemetry: Recorder,
-    pub(crate) started: bool,
-    pub(crate) event_budget: u64,
-    pub(crate) events_processed: u64,
-    /// Buffered trace events awaiting the deterministic flush
-    /// (deterministic modes only; legacy serial emits inline).
-    pub(crate) det_traces: Vec<(ReplayKey, OwnedTraceEvent)>,
-    /// Buffered telemetry ring events awaiting the deterministic flush.
-    pub(crate) det_tevents: Vec<(ReplayKey, TelemetryEvent)>,
+    out_links: Vec<Vec<(NodeId, LinkId)>>,
+    routes: Vec<RouteMap>,
+    /// The one source of channel randomness, shared by every link.
+    rng: StdRng,
+    no_route_drops: u64,
+    trace: Option<Box<dyn TraceSink>>,
+    telemetry: Recorder,
+    started: bool,
+    event_budget: u64,
+    events_processed: u64,
     /// Reused buffer for node-emitted actions: one dispatch at a time
     /// runs, so a single scratch vector avoids an allocation per event.
     action_scratch: Vec<Action>,
-    /// When present, every global-queue push/pop is appended here (see
+    /// When present, every queue push/pop is appended here (see
     /// [`Simulator::record_schedule`]).
     schedule_log: Option<Vec<ScheduleOp>>,
-    /// Replay-key base of whatever is currently executing.
-    cur_phase: u8,
-    cur_key: EventKey,
-    emit_trace: u32,
-    emit_tele: u32,
 }
 
-/// Object-safe supertrait combining [`Node`], downcasting and `Send`
-/// (nodes migrate to worker threads during a parallel run).
-pub(crate) trait SimNode: Node + AsAny + Send {}
-impl<T: Node + AsAny + Send> SimNode for T {}
+/// Object-safe supertrait combining [`Node`] and downcasting.
+trait SimNode: Node + AsAny {}
+impl<T: Node + AsAny> SimNode for T {}
 
 impl Simulator {
     /// New simulator; all channel randomness derives from `seed`.
@@ -213,11 +148,6 @@ impl Simulator {
         Simulator {
             now: SimTime::ZERO,
             seq: 0,
-            origin_seqs: Vec::new(),
-            env_seq: 0,
-            mode: ExecMode::Serial,
-            seed,
-            partition: None,
             queue: EventQueue::new(QueueKind::default()),
             nodes: Vec::new(),
             links: LinkTable::default(),
@@ -230,53 +160,18 @@ impl Simulator {
             started: false,
             event_budget: 200_000_000,
             events_processed: 0,
-            det_traces: Vec::new(),
-            det_tevents: Vec::new(),
             action_scratch: Vec::new(),
             schedule_log: None,
-            cur_phase: 0,
-            cur_key: EventKey {
-                at: SimTime::ZERO,
-                origin: 0,
-                seq: 0,
-            },
-            emit_trace: 0,
-            emit_tele: 0,
         }
-    }
-
-    /// Select the execution mode. Must be called before any event is
-    /// scheduled (i.e. before the first run and before
-    /// [`schedule_route_change`](Self::schedule_route_change)), because
-    /// the mode fixes how event keys are assigned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if events have already been scheduled or the simulation
-    /// has started, or if `Parallel { workers: 0 }` is requested.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        assert!(
-            !self.started && self.queue.is_empty() && self.seq == 0 && self.env_seq == 0,
-            "set_exec_mode must be called before any event is scheduled"
-        );
-        if let ExecMode::Parallel { workers } = mode {
-            assert!(workers >= 1, "Parallel mode needs at least one worker");
-        }
-        self.mode = mode;
-    }
-
-    /// The current execution mode.
-    #[must_use]
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
     }
 
     /// Select the event-queue implementation (default
-    /// [`QueueKind::Wheel`]). Like [`set_exec_mode`](Self::set_exec_mode)
-    /// this must happen before any event is scheduled — the knob swaps
-    /// the queue out, which is only sound while it is empty. Both kinds
-    /// produce byte-identical runs; [`QueueKind::Heap`] is the original
-    /// `BinaryHeap` kept as the live oracle.
+    /// [`QueueKind::Wheel`]). This must happen before any event is
+    /// scheduled (i.e. before the first run and before
+    /// [`schedule_route_change`](Self::schedule_route_change)) — the
+    /// knob swaps the queue out, which is only sound while it is empty.
+    /// Both kinds produce byte-identical runs; [`QueueKind::Heap`] is
+    /// the original `BinaryHeap` kept as the live oracle.
     ///
     /// # Panics
     ///
@@ -284,7 +179,7 @@ impl Simulator {
     /// has started.
     pub fn set_queue_kind(&mut self, kind: QueueKind) {
         assert!(
-            !self.started && self.queue.is_empty() && self.seq == 0 && self.env_seq == 0,
+            !self.started && self.queue.is_empty() && self.seq == 0,
             "set_queue_kind must be called before any event is scheduled"
         );
         self.queue = EventQueue::new(kind);
@@ -296,14 +191,12 @@ impl Simulator {
         self.queue.kind()
     }
 
-    /// Start recording every global-queue push and pop as a
-    /// [`ScheduleOp`] sequence (replacing any previous recording).
+    /// Start recording every queue push and pop as a [`ScheduleOp`]
+    /// sequence (replacing any previous recording).
     ///
     /// The recorded schedule replays through
     /// [`replay_schedule`](crate::replay_schedule) to benchmark a queue
-    /// kind in isolation on this exact workload. Recording covers the
-    /// serial engines' single global queue; a parallel run's per-worker
-    /// queues are not captured.
+    /// kind in isolation on this exact workload.
     pub fn record_schedule(&mut self) {
         self.schedule_log = Some(Vec::new());
     }
@@ -314,23 +207,11 @@ impl Simulator {
         self.schedule_log.take().unwrap_or_default()
     }
 
-    /// Override the node → worker assignment used by
-    /// [`ExecMode::Parallel`] (by default nodes are split into
-    /// contiguous blocks). `assignment[i]` is the worker index of node
-    /// `i`; it must cover every node with values `< workers` by the
-    /// time the simulation runs. The deterministic ordering contract
-    /// guarantees the partition does not change any output — this knob
-    /// exists for load balancing and for the equivalence tests.
-    pub fn set_partition(&mut self, assignment: Vec<usize>) {
-        self.partition = Some(assignment);
-    }
-
     /// Install a node; returns its id.
-    pub fn add_node(&mut self, node: impl Node + Any + Send) -> NodeId {
+    pub fn add_node(&mut self, node: impl Node + Any) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Box::new(node));
         self.routes.push(RouteMap::default());
-        self.origin_seqs.push(0);
         self.out_links.push(Vec::new());
         id
     }
@@ -397,7 +278,7 @@ impl Simulator {
         dst: Ipv4Addr,
         next: Option<NodeId>,
     ) {
-        self.push_from(at, None, Event::RouteChange { node, dst, next });
+        self.push(at, Event::RouteChange { node, dst, next });
     }
 
     /// Install a trace sink receiving every notable event.
@@ -434,8 +315,7 @@ impl Simulator {
     }
 
     /// Abort the run (panic) if more than `budget` events are processed —
-    /// a guard against accidental infinite protocol loops. Enforced in
-    /// every execution mode, including the parallel engine.
+    /// a guard against accidental infinite protocol loops.
     pub fn set_event_budget(&mut self, budget: u64) {
         self.event_budget = budget;
     }
@@ -452,8 +332,7 @@ impl Simulator {
         self.no_route_drops
     }
 
-    /// Total events processed so far (across all run calls and, in
-    /// parallel mode, all workers).
+    /// Total events processed so far (across all run calls).
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -485,128 +364,42 @@ impl Simulator {
         (*self.nodes[id.0]).as_any_mut().downcast_mut::<T>()
     }
 
-    /// Assign the next event key for an event created by `origin`
-    /// (`None` = environment) at time `at`, respecting the mode's
-    /// ordering contract.
-    pub(crate) fn next_key(&mut self, at: SimTime, origin: Option<NodeId>) -> EventKey {
-        match self.mode {
-            ExecMode::Serial => {
-                let seq = self.seq;
-                self.seq += 1;
-                EventKey {
-                    at,
-                    origin: seq,
-                    seq: 0,
-                }
-            }
-            ExecMode::SerialDet | ExecMode::Parallel { .. } => match origin {
-                Some(node) => {
-                    let counter = &mut self.origin_seqs[node.0];
-                    let seq = *counter;
-                    *counter += 1;
-                    EventKey {
-                        at,
-                        origin: node.0 as u64,
-                        seq,
-                    }
-                }
-                None => {
-                    let seq = self.env_seq;
-                    self.env_seq += 1;
-                    EventKey {
-                        at,
-                        origin: ENV_ORIGIN,
-                        seq,
-                    }
-                }
-            },
-        }
-    }
-
-    fn push_from(&mut self, at: SimTime, origin: Option<NodeId>, event: Event) {
-        let key = self.next_key(at, origin);
+    fn push(&mut self, at: SimTime, event: Event) {
+        let key = EventKey { at, seq: self.seq };
+        self.seq += 1;
         if let Some(log) = &mut self.schedule_log {
             log.push(ScheduleOp::Push(at.as_micros()));
         }
         self.queue.push(Queued { key, event });
     }
 
-    /// Seed the per-link RNG streams (deterministic modes only; legacy
-    /// serial keeps drawing from the global RNG).
-    fn ensure_link_rngs(&mut self) {
-        if matches!(self.mode, ExecMode::Serial) {
-            return;
-        }
-        for (i, link) in self.links.iter_mut().enumerate() {
-            if link.rng.is_none() {
-                link.rng = Some(StdRng::seed_from_u64(link_rng_seed(self.seed, i)));
-            }
-        }
-    }
-
-    pub(crate) fn start_if_needed(&mut self) {
-        self.ensure_link_rngs();
+    fn start_if_needed(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        let mut actions = Vec::new();
         for i in 0..self.nodes.len() {
-            let node = NodeId(i);
-            self.cur_phase = 0;
-            self.cur_key = EventKey {
-                at: self.now,
-                origin: i as u64,
-                seq: 0,
-            };
-            self.emit_trace = 0;
-            self.emit_tele = 0;
-            let mut ctx = Context {
-                now: self.now,
-                node,
-                actions: &mut actions,
-            };
-            self.nodes[i].on_start(&mut ctx);
-            self.apply_actions(node, &mut actions);
+            self.with_node(NodeId(i), |n, ctx| n.on_start(ctx));
         }
     }
 
-    /// Whether trace/telemetry events are buffered for the
-    /// deterministic sorted flush instead of emitted inline.
-    fn det_replay(&self) -> bool {
-        !matches!(self.mode, ExecMode::Serial)
-    }
-
-    fn log_det_trace(&mut self, ev: OwnedTraceEvent) {
-        self.det_traces
-            .push(((self.cur_phase, self.cur_key, self.emit_trace), ev));
-        self.emit_trace += 1;
-    }
-
-    fn log_det_tevent(&mut self, ev: TelemetryEvent) {
-        self.det_tevents
-            .push(((self.cur_phase, self.cur_key, self.emit_tele), ev));
-        self.emit_tele += 1;
-    }
-
-    /// Flush buffered trace/telemetry events in canonical order. Called
-    /// at the end of every run segment in the deterministic modes (a
-    /// no-op in legacy serial, where the buffers stay empty).
-    pub(crate) fn flush_det_logs(&mut self) {
-        if !self.det_tevents.is_empty() {
-            self.det_tevents.sort_unstable_by_key(|e| e.0);
-            for (_, ev) in std::mem::take(&mut self.det_tevents) {
-                self.telemetry.event(ev);
-            }
+    /// Hand one event to the trace sink, if one is installed.
+    fn trace_event(&mut self, event: TraceEvent<'_>) {
+        if let Some(sink) = self.trace.as_mut() {
+            sink.event(&event);
         }
-        if !self.det_traces.is_empty() {
-            self.det_traces.sort_unstable_by_key(|e| e.0);
-            let traces = std::mem::take(&mut self.det_traces);
-            if let Some(sink) = self.trace.as_mut() {
-                for (_, tr) in &traces {
-                    tr.replay(&mut **sink);
-                }
-            }
+    }
+
+    /// Ring one telemetry event about `packet` at `node`, stamped with
+    /// the current time, if telemetry is on.
+    fn telemetry_event(&mut self, kind: EventKind, packet: &Packet, node: NodeId, wire: usize) {
+        if self.telemetry.is_enabled() {
+            self.telemetry.event(
+                TelemetryEvent::new(kind)
+                    .at_us(self.now.as_micros())
+                    .flow(packet.flow().stable_hash())
+                    .details(node.0 as u64, wire as u64),
+            );
         }
     }
 
@@ -615,41 +408,22 @@ impl Simulator {
             match action {
                 Action::Forward(packet) => self.route_and_transmit(node, packet),
                 Action::Timer(delay, token) => {
-                    self.push_from(self.now + delay, Some(node), Event::Timer { node, token });
+                    self.push(self.now + delay, Event::Timer { node, token });
                 }
             }
         }
     }
 
     fn route_and_transmit(&mut self, from: NodeId, packet: Packet) {
+        let at = self.now;
         let Some(&next) = self.routes[from.0].get(&packet.ip.dst) else {
             self.no_route_drops += 1;
-            if self.telemetry.is_enabled() {
-                let ev = TelemetryEvent::new(EventKind::NoRoute)
-                    .at_us(self.now.as_micros())
-                    .flow(packet.flow().stable_hash())
-                    .details(from.0 as u64, 0);
-                if self.det_replay() {
-                    self.log_det_tevent(ev);
-                } else {
-                    self.telemetry.event(ev);
-                }
-            }
-            if self.trace.is_some() {
-                if self.det_replay() {
-                    self.log_det_trace(OwnedTraceEvent::NoRoute {
-                        at: self.now,
-                        from,
-                        packet: packet.clone(),
-                    });
-                } else if let Some(t) = self.trace.as_mut() {
-                    t.event(&TraceEvent::NoRoute {
-                        at: self.now,
-                        from,
-                        packet: &packet,
-                    });
-                }
-            }
+            self.telemetry_event(EventKind::NoRoute, &packet, from, 0);
+            self.trace_event(TraceEvent::NoRoute {
+                at,
+                from,
+                packet: &packet,
+            });
             return;
         };
         debug_assert!(from.0 < self.out_links.len(), "node id out of bounds");
@@ -662,95 +436,42 @@ impl Simulator {
         if self.telemetry.is_enabled() {
             self.telemetry.count("sim.transmits", 1);
         }
-        if self.trace.is_some() {
-            if self.det_replay() {
-                self.log_det_trace(OwnedTraceEvent::Transmit {
-                    at: self.now,
-                    from,
-                    to: next,
-                    packet: packet.clone(),
-                });
-            } else if let Some(t) = self.trace.as_mut() {
-                t.event(&TraceEvent::Transmit {
-                    at: self.now,
+        self.trace_event(TraceEvent::Transmit {
+            at,
+            from,
+            to: next,
+            packet: &packet,
+        });
+        let verdict = self.links[link_id.0].transmit(at, wire, &mut self.rng);
+        match verdict {
+            TxVerdict::Lost => {
+                self.telemetry_event(EventKind::PacketLost, &packet, from, wire);
+                self.trace_event(TraceEvent::Lost {
+                    at,
                     from,
                     to: next,
                     packet: &packet,
                 });
-            }
-        }
-        let verdict = self.links[link_id.0].transmit(self.now, wire, Some(&mut self.rng));
-        match verdict {
-            TxVerdict::Lost => {
-                if self.telemetry.is_enabled() {
-                    let ev = TelemetryEvent::new(EventKind::PacketLost)
-                        .at_us(self.now.as_micros())
-                        .flow(packet.flow().stable_hash())
-                        .details(from.0 as u64, wire as u64);
-                    if self.det_replay() {
-                        self.log_det_tevent(ev);
-                    } else {
-                        self.telemetry.event(ev);
-                    }
-                }
-                if self.trace.is_some() {
-                    if self.det_replay() {
-                        self.log_det_trace(OwnedTraceEvent::Lost {
-                            at: self.now,
-                            from,
-                            to: next,
-                            packet,
-                        });
-                    } else if let Some(t) = self.trace.as_mut() {
-                        t.event(&TraceEvent::Lost {
-                            at: self.now,
-                            from,
-                            to: next,
-                            packet: &packet,
-                        });
-                    }
-                }
             }
             TxVerdict::Corrupted => {
                 // A corrupted packet is delivered on the wire but fails
                 // the IP/TCP (or byte caching shim) checksum at the
                 // receiver, which discards it. Both outcomes are a drop;
                 // we account it separately and do not dispatch it.
-                if self.telemetry.is_enabled() {
-                    let ev = TelemetryEvent::new(EventKind::PacketCorrupted)
-                        .at_us(self.now.as_micros())
-                        .flow(packet.flow().stable_hash())
-                        .details(from.0 as u64, wire as u64);
-                    if self.det_replay() {
-                        self.log_det_tevent(ev);
-                    } else {
-                        self.telemetry.event(ev);
-                    }
-                }
-                if self.trace.is_some() {
-                    if self.det_replay() {
-                        self.log_det_trace(OwnedTraceEvent::Corrupted {
-                            at: self.now,
-                            from,
-                            to: next,
-                            packet,
-                        });
-                    } else if let Some(t) = self.trace.as_mut() {
-                        t.event(&TraceEvent::Corrupted {
-                            at: self.now,
-                            from,
-                            to: next,
-                            packet: &packet,
-                        });
-                    }
-                }
+                self.telemetry_event(EventKind::PacketCorrupted, &packet, from, wire);
+                self.trace_event(TraceEvent::Corrupted {
+                    at,
+                    from,
+                    to: next,
+                    packet: &packet,
+                });
             }
             TxVerdict::Deliver { arrive } | TxVerdict::Reorder { arrive } => {
                 if self.telemetry.is_enabled() {
                     self.telemetry
-                        .record("sim.hop_latency_us", (arrive - self.now).as_micros());
+                        .record("sim.hop_latency_us", (arrive - at).as_micros());
                 }
-                self.push_from(arrive, Some(from), Event::Deliver { to: next, packet });
+                self.push(arrive, Event::Deliver { to: next, packet });
             }
             TxVerdict::Duplicate { arrive, copy } => {
                 // The original arrives on time; a copy follows later.
@@ -759,19 +480,29 @@ impl Simulator {
                 // copy is scheduled first (historical insertion order).
                 if self.telemetry.is_enabled() {
                     self.telemetry
-                        .record("sim.hop_latency_us", (arrive - self.now).as_micros());
+                        .record("sim.hop_latency_us", (arrive - at).as_micros());
                 }
-                self.push_from(
-                    copy,
-                    Some(from),
-                    Event::Deliver {
-                        to: next,
-                        packet: packet.clone(),
-                    },
-                );
-                self.push_from(arrive, Some(from), Event::Deliver { to: next, packet });
+                let dup = Event::Deliver {
+                    to: next,
+                    packet: packet.clone(),
+                };
+                self.push(copy, dup);
+                self.push(arrive, Event::Deliver { to: next, packet });
             }
         }
+    }
+
+    /// Run one node callback and apply the actions it emitted.
+    fn with_node(&mut self, node: NodeId, call: impl FnOnce(&mut dyn SimNode, &mut Context<'_>)) {
+        let mut actions = std::mem::take(&mut self.action_scratch);
+        let mut ctx = Context {
+            now: self.now,
+            node,
+            actions: &mut actions,
+        };
+        call(&mut *self.nodes[node.0], &mut ctx);
+        self.apply_actions(node, &mut actions);
+        self.action_scratch = actions;
     }
 
     fn dispatch(&mut self, event: Event) {
@@ -780,42 +511,14 @@ impl Simulator {
                 if self.telemetry.is_enabled() {
                     self.telemetry.count("sim.delivers", 1);
                 }
-                if self.trace.is_some() {
-                    if self.det_replay() {
-                        self.log_det_trace(OwnedTraceEvent::Deliver {
-                            at: self.now,
-                            to,
-                            packet: packet.clone(),
-                        });
-                    } else if let Some(t) = self.trace.as_mut() {
-                        t.event(&TraceEvent::Deliver {
-                            at: self.now,
-                            to,
-                            packet: &packet,
-                        });
-                    }
-                }
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                let mut ctx = Context {
-                    now: self.now,
-                    node: to,
-                    actions: &mut actions,
-                };
-                self.nodes[to.0].on_packet(packet, &mut ctx);
-                self.apply_actions(to, &mut actions);
-                self.action_scratch = actions;
+                self.trace_event(TraceEvent::Deliver {
+                    at: self.now,
+                    to,
+                    packet: &packet,
+                });
+                self.with_node(to, |n, ctx| n.on_packet(packet, ctx));
             }
-            Event::Timer { node, token } => {
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                let mut ctx = Context {
-                    now: self.now,
-                    node,
-                    actions: &mut actions,
-                };
-                self.nodes[node.0].on_timer(token, &mut ctx);
-                self.apply_actions(node, &mut actions);
-                self.action_scratch = actions;
-            }
+            Event::Timer { node, token } => self.with_node(node, |n, ctx| n.on_timer(token, ctx)),
             Event::RouteChange { node, dst, next } => match next {
                 Some(n) => self.add_route(node, dst, n),
                 None => self.remove_route(node, dst),
@@ -832,15 +535,8 @@ impl Simulator {
         }
         debug_assert!(q.key.at >= self.now, "time went backwards");
         self.now = q.key.at;
-        self.cur_phase = 1;
-        self.cur_key = q.key;
-        self.emit_trace = 0;
-        self.emit_tele = 0;
         self.events_processed += 1;
-        // Queue depth is an engine-internal observable of the single
-        // global queue; the deterministic modes skip it so serial and
-        // parallel snapshots stay byte-identical.
-        if self.telemetry.is_enabled() && matches!(self.mode, ExecMode::Serial) {
+        if self.telemetry.is_enabled() {
             self.telemetry
                 .record("sim.queue_depth", self.queue.len() as u64);
         }
@@ -853,26 +549,6 @@ impl Simulator {
         true
     }
 
-    /// The serial loop body, shared by `Serial`, `SerialDet` and the
-    /// degenerate parallel cases (one worker, zero lookahead).
-    pub(crate) fn run_serial(&mut self, limit: Option<SimTime>) -> SimTime {
-        self.start_if_needed();
-        match limit {
-            None => while self.step() {},
-            Some(t) => {
-                while let Some(head) = self.queue.peek_key() {
-                    if head.at > t {
-                        break;
-                    }
-                    self.step();
-                }
-                self.now = self.now.max(t);
-            }
-        }
-        self.flush_det_logs();
-        self.now
-    }
-
     /// Run until no events remain; returns the final simulated time.
     ///
     /// # Panics
@@ -880,19 +556,20 @@ impl Simulator {
     /// Panics if the event budget is exhausted (see
     /// [`set_event_budget`](Self::set_event_budget)).
     pub fn run_until_idle(&mut self) -> SimTime {
-        if let ExecMode::Parallel { workers } = self.mode {
-            return crate::engine::run(self, workers, None);
-        }
-        self.run_serial(None)
+        self.start_if_needed();
+        while self.step() {}
+        self.now
     }
 
     /// Run until the given absolute time (events at exactly `t` are
     /// processed); later events stay queued.
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
-        if let ExecMode::Parallel { workers } = self.mode {
-            return crate::engine::run(self, workers, Some(t));
+        self.start_if_needed();
+        while self.queue.peek_key().is_some_and(|head| head.at <= t) {
+            self.step();
         }
-        self.run_serial(Some(t))
+        self.now = self.now.max(t);
+        self.now
     }
 
     /// Run for a span of simulated time from now.
@@ -906,7 +583,6 @@ impl core::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Simulator")
             .field("now", &self.now)
-            .field("mode", &self.mode)
             .field("nodes", &self.nodes.len())
             .field("links", &self.links.len())
             .field("queued", &self.queue.len())
@@ -1109,9 +785,9 @@ mod tests {
         }
     }
 
-    fn route_change_sim(mode: ExecMode) -> Simulator {
+    #[test]
+    fn scheduled_route_change_redirects_traffic() {
         let mut sim = Simulator::new(1);
-        sim.set_exec_mode(mode);
         let a = sim.add_node(SlowSender);
         let b1 = sim.add_node(Receiver::default());
         let b2 = sim.add_node(Receiver::default());
@@ -1120,42 +796,9 @@ mod tests {
         sim.add_route(a, B_IP, b1);
         // After 45 ms (between packet 5 and 6), hand off to b2.
         sim.schedule_route_change(SimTime::from_micros(45_000), a, B_IP, Some(b2));
-        sim
-    }
-
-    #[test]
-    fn scheduled_route_change_redirects_traffic() {
-        let mut sim = route_change_sim(ExecMode::Serial);
         sim.run_until_idle();
-        assert_eq!(sim.node::<Receiver>(NodeId(1)).unwrap().arrivals.len(), 5);
-        assert_eq!(sim.node::<Receiver>(NodeId(2)).unwrap().arrivals.len(), 5);
-    }
-
-    /// Satellite: `schedule_route_change` interleaved with in-flight
-    /// deliveries behaves identically in the serial oracle and the
-    /// PDES engine (the flip lands between two deliveries while the
-    /// previous packet is still propagating).
-    #[test]
-    fn route_flip_mid_flight_matches_across_engines() {
-        let arrivals = |mode| {
-            let mut sim = route_change_sim(mode);
-            sim.run_until_idle();
-            (
-                sim.node::<Receiver>(NodeId(1)).unwrap().arrivals.clone(),
-                sim.node::<Receiver>(NodeId(2)).unwrap().arrivals.clone(),
-                sim.now(),
-            )
-        };
-        let oracle = arrivals(ExecMode::SerialDet);
-        assert_eq!(oracle.0.len(), 5);
-        assert_eq!(oracle.1.len(), 5);
-        for workers in [1, 2, 3] {
-            assert_eq!(
-                arrivals(ExecMode::Parallel { workers }),
-                oracle,
-                "route flip diverged at {workers} workers"
-            );
-        }
+        assert_eq!(sim.node::<Receiver>(b1).unwrap().arrivals.len(), 5);
+        assert_eq!(sim.node::<Receiver>(b2).unwrap().arrivals.len(), 5);
     }
 
     #[test]
@@ -1278,9 +921,11 @@ mod tests {
         }
     }
 
-    fn ping_pong_sim(mode: ExecMode) -> Simulator {
+    /// A runaway two-node ping-pong halts under the event budget.
+    #[test]
+    #[should_panic(expected = "event budget")]
+    fn event_budget_halts_ping_pong_serial() {
         let mut sim = Simulator::new(1);
-        sim.set_exec_mode(mode);
         let a = sim.add_node(PingPong {
             peer: B_IP,
             me: A_IP,
@@ -1295,23 +940,7 @@ mod tests {
         sim.add_route(a, B_IP, b);
         sim.add_route(b, A_IP, a);
         sim.set_event_budget(1000);
-        sim
-    }
-
-    /// Satellite: a runaway two-node ping-pong halts under the event
-    /// budget in the serial engine.
-    #[test]
-    #[should_panic(expected = "event budget")]
-    fn event_budget_halts_ping_pong_serial() {
-        ping_pong_sim(ExecMode::Serial).run_until_idle();
-    }
-
-    /// Satellite: the same runaway ping-pong halts under the budget in
-    /// the PDES engine too (the panic crosses the worker threads).
-    #[test]
-    #[should_panic(expected = "event budget")]
-    fn event_budget_halts_ping_pong_parallel() {
-        ping_pong_sim(ExecMode::Parallel { workers: 2 }).run_until_idle();
+        sim.run_until_idle();
     }
 
     #[test]
@@ -1391,8 +1020,6 @@ mod tests {
         assert_eq!(rx.arrivals.len() as u64, 2000 + stats.packets_duplicated);
     }
 
-    // ---- deterministic ordering & PDES equivalence ---------------------
-
     /// Forwards one packet per timer; used to construct same-timestamp
     /// events whose creation order differs from node-id order.
     struct StagedSender {
@@ -1413,11 +1040,10 @@ mod tests {
         }
     }
 
-    fn transmit_order(mode: ExecMode, kind: QueueKind) -> Vec<usize> {
+    fn transmit_order(kind: QueueKind) -> Vec<usize> {
         let order = Rc::new(RefCell::new(Vec::new()));
         let seen = Rc::clone(&order);
         let mut sim = Simulator::new(1);
-        sim.set_exec_mode(mode);
         sim.set_queue_kind(kind);
         // Node 0 reaches its forward at 10 ms via two 5 ms timer hops
         // (its t=10ms timer is *created* at t=5ms); node 1 via a single
@@ -1446,165 +1072,13 @@ mod tests {
         got
     }
 
-    /// Satellite: the legacy serial queue breaks same-timestamp ties by
-    /// global insertion `seq` — node 1's timer was scheduled first, so
-    /// its forward pops first even though node 0 has the smaller id.
-    /// This pins the behaviour the PDES contract deliberately replaces —
-    /// and both queue kinds must reproduce it bit-for-bit.
+    /// Same-timestamp ties pop in insertion order — node 1's timer was
+    /// scheduled first, so its forward pops first even though node 0 has
+    /// the smaller id — on both queue kinds.
     #[test]
     fn same_time_events_pop_in_seq_order() {
-        assert_eq!(
-            transmit_order(ExecMode::Serial, QueueKind::Wheel),
-            vec![1, 0]
-        );
-        assert_eq!(
-            transmit_order(ExecMode::Serial, QueueKind::Heap),
-            vec![1, 0]
-        );
-    }
-
-    /// The deterministic modes break the same tie by origin node id —
-    /// identically at any worker count and on either queue kind.
-    #[test]
-    fn same_time_events_pop_in_origin_order_in_det_modes() {
-        for kind in [QueueKind::Wheel, QueueKind::Heap] {
-            assert_eq!(transmit_order(ExecMode::SerialDet, kind), vec![0, 1]);
-            assert_eq!(
-                transmit_order(ExecMode::Parallel { workers: 2 }, kind),
-                vec![0, 1]
-            );
-            assert_eq!(
-                transmit_order(ExecMode::Parallel { workers: 3 }, kind),
-                vec![0, 1]
-            );
-        }
-    }
-
-    /// Full-state digest of a lossy echo topology for equivalence
-    /// checks: arrivals, all link stats, clock, event count, telemetry.
-    fn lossy_echo_digest(
-        mode: ExecMode,
-        partition: Option<Vec<usize>>,
-    ) -> (
-        Vec<(SimTime, usize)>,
-        Vec<LinkStats>,
-        SimTime,
-        u64,
-        Recorder,
-    ) {
-        let mut sim = Simulator::new(42);
-        sim.set_exec_mode(mode);
-        if let Some(p) = partition {
-            sim.set_partition(p);
-        }
-        sim.set_telemetry_enabled(true);
-        let a = sim.add_node(Sender {
-            src: A_IP,
-            dst: B_IP,
-            count: 400,
-            len: 100,
-        });
-        let b = sim.add_node(Echo);
-        let c = sim.add_node(Receiver::default());
-        let lossy = LinkConfig {
-            rate_bytes_per_sec: Some(1_000_000),
-            propagation: SimDuration::from_millis(2),
-            channel: ChannelConfig {
-                duplicate_rate: 0.02,
-                reorder_rate: 0.05,
-                reorder_window: SimDuration::from_millis(3),
-                ..ChannelConfig::lossy(0.1)
-            },
-        };
-        let (l0, l1) = sim.add_duplex_link(a, b, lossy);
-        let l2 = sim.add_link(b, c, LinkConfig::default());
-        sim.add_route(a, B_IP, b);
-        sim.add_route(b, A_IP, c);
-        sim.run_until_idle();
-        (
-            sim.node::<Receiver>(c).unwrap().arrivals.clone(),
-            vec![
-                sim.link_stats(l0).clone(),
-                sim.link_stats(l1).clone(),
-                sim.link_stats(l2).clone(),
-            ],
-            sim.now(),
-            sim.events_processed,
-            sim.telemetry_snapshot(),
-        )
-    }
-
-    /// The PDES engine is byte-identical to the serial-det oracle at
-    /// any worker count and for any partition of the nodes.
-    #[test]
-    fn pdes_matches_serial_det_oracle() {
-        let oracle = lossy_echo_digest(ExecMode::SerialDet, None);
-        assert!(!oracle.0.is_empty(), "test topology delivers packets");
-        for workers in [1usize, 2, 3] {
-            let got = lossy_echo_digest(ExecMode::Parallel { workers }, None);
-            assert_eq!(got, oracle, "diverged at {workers} workers");
-        }
-        for partition in [vec![0, 1, 1], vec![0, 1, 0], vec![1, 0, 1]] {
-            let got = lossy_echo_digest(ExecMode::Parallel { workers: 2 }, Some(partition.clone()));
-            assert_eq!(got, oracle, "diverged with partition {partition:?}");
-        }
-    }
-
-    /// Segmented runs (`run_until` then `run_until_idle`) round-trip
-    /// all state through the workers and stay equivalent.
-    #[test]
-    fn pdes_run_until_segments_match_oracle() {
-        let digest = |mode| {
-            let mut sim = Simulator::new(9);
-            sim.set_exec_mode(mode);
-            let a = sim.add_node(Sender {
-                src: A_IP,
-                dst: B_IP,
-                count: 300,
-                len: 200,
-            });
-            let b = sim.add_node(Receiver::default());
-            let l = sim.add_link(
-                a,
-                b,
-                LinkConfig {
-                    rate_bytes_per_sec: Some(1_000_000),
-                    propagation: SimDuration::from_millis(4),
-                    channel: ChannelConfig::lossy(0.15),
-                },
-            );
-            sim.add_route(a, B_IP, b);
-            let mid = sim.run_until(SimTime::from_micros(30_000));
-            let mid_arrivals = sim.node::<Receiver>(b).unwrap().arrivals.len();
-            sim.run_until_idle();
-            (
-                mid,
-                mid_arrivals,
-                sim.node::<Receiver>(b).unwrap().arrivals.clone(),
-                sim.link_stats(l).clone(),
-                sim.now(),
-                sim.events_processed,
-            )
-        };
-        let oracle = digest(ExecMode::SerialDet);
-        assert!(oracle.1 > 0, "some packets arrive before the cut");
-        assert!(oracle.2.len() > oracle.1, "more arrive after");
-        for workers in [2usize, 3] {
-            assert_eq!(
-                digest(ExecMode::Parallel { workers }),
-                oracle,
-                "segmented run diverged at {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "before any event is scheduled")]
-    fn exec_mode_locked_after_scheduling() {
-        let mut sim = Simulator::new(1);
-        let a = sim.add_node(Echo);
-        sim.schedule_route_change(SimTime::from_micros(10), a, B_IP, None);
-        sim.set_exec_mode(ExecMode::SerialDet);
+        assert_eq!(transmit_order(QueueKind::Wheel), vec![1, 0]);
+        assert_eq!(transmit_order(QueueKind::Heap), vec![1, 0]);
     }
 
     #[test]

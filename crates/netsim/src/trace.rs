@@ -61,93 +61,6 @@ pub enum TraceEvent<'a> {
     },
 }
 
-/// An owned [`TraceEvent`], recorded by a parallel worker and replayed
-/// into the main-thread sink in deterministic order after the run
-/// (sinks are not required to be `Send`, so they never leave the
-/// caller's thread).
-#[derive(Debug, Clone)]
-pub(crate) enum OwnedTraceEvent {
-    Transmit {
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        packet: Packet,
-    },
-    Lost {
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        packet: Packet,
-    },
-    Corrupted {
-        at: SimTime,
-        from: NodeId,
-        to: NodeId,
-        packet: Packet,
-    },
-    Deliver {
-        at: SimTime,
-        to: NodeId,
-        packet: Packet,
-    },
-    NoRoute {
-        at: SimTime,
-        from: NodeId,
-        packet: Packet,
-    },
-}
-
-impl OwnedTraceEvent {
-    /// Feed this event to a sink in the borrowed form it expects.
-    pub(crate) fn replay(&self, sink: &mut dyn TraceSink) {
-        match self {
-            OwnedTraceEvent::Transmit {
-                at,
-                from,
-                to,
-                packet,
-            } => sink.event(&TraceEvent::Transmit {
-                at: *at,
-                from: *from,
-                to: *to,
-                packet,
-            }),
-            OwnedTraceEvent::Lost {
-                at,
-                from,
-                to,
-                packet,
-            } => sink.event(&TraceEvent::Lost {
-                at: *at,
-                from: *from,
-                to: *to,
-                packet,
-            }),
-            OwnedTraceEvent::Corrupted {
-                at,
-                from,
-                to,
-                packet,
-            } => sink.event(&TraceEvent::Corrupted {
-                at: *at,
-                from: *from,
-                to: *to,
-                packet,
-            }),
-            OwnedTraceEvent::Deliver { at, to, packet } => sink.event(&TraceEvent::Deliver {
-                at: *at,
-                to: *to,
-                packet,
-            }),
-            OwnedTraceEvent::NoRoute { at, from, packet } => sink.event(&TraceEvent::NoRoute {
-                at: *at,
-                from: *from,
-                packet,
-            }),
-        }
-    }
-}
-
 /// Receiver for [`TraceEvent`]s (install with
 /// [`Simulator::set_trace`](crate::Simulator::set_trace)).
 pub trait TraceSink {

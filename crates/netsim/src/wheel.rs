@@ -1,5 +1,5 @@
 //! The hierarchical timing wheel behind [`QueueKind::Wheel`], plus the
-//! [`EventQueue`] façade both engines schedule through.
+//! [`EventQueue`] façade the event loop schedules through.
 //!
 //! A `BinaryHeap` pays `O(log n)` per push/pop and one allocation per
 //! queued event. The wheel makes the common case ~O(1): a calendar
@@ -11,20 +11,18 @@
 //! # Pop-order contract
 //!
 //! The wheel pops in exactly the heap's total order — the full
-//! `(time, origin, seq)` [`EventKey`] — under arbitrary interleaving of
+//! `(time, seq)` [`EventKey`] — under arbitrary interleaving of
 //! pushes and pops. Three auxiliary structures close the gaps a plain
 //! wheel would leave (DESIGN.md §16 carries the argument in full):
 //!
 //! * **bucket** — all events at the frontier timestamp, kept as a tiny
 //!   binary heap ordered by full key. Same-timestamp ties (including
 //!   zero-delay self-events created *while* the timestamp is being
-//!   drained, possibly with a lower `(origin, seq)` than events already
-//!   popped-around) funnel through it in key order.
+//!   drained) funnel through it in key order.
 //! * **backlog** — a heap for the rare push strictly before the wheel
 //!   frontier `cur` (a `schedule_route_change` between run segments
-//!   after a peek advanced the frontier; a PDES cross-worker arrival
-//!   below the local minimum). Pop compares backlog and bucket heads by
-//!   full key, so strays still come out in global order.
+//!   after a peek advanced the frontier). Pop compares backlog and
+//!   bucket heads by full key, so strays still come out in global order.
 //! * **overflow** — a heap for events beyond the wheel horizon
 //!   (`2^42` µs ≈ 51 days from `cur`); when the wheel empties, the
 //!   frontier jumps to the overflow minimum and every event sharing its
@@ -33,8 +31,7 @@
 //! Until the first pop/peek after the queue was (re-)emptied the wheel
 //! is *unbased*: pushes collect in a staging list and the frontier is
 //! fixed at the staged minimum on first use. This keeps arbitrary
-//! push orders cheap at topology-build time and after the PDES engine
-//! merges leftover events back.
+//! push orders cheap at topology-build time.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -397,8 +394,8 @@ impl TimingWheel {
     }
 }
 
-/// The event queue both engines schedule through: the original binary
-/// heap or the timing wheel, selected by [`QueueKind`].
+/// The event queue the simulator schedules through: the original
+/// binary heap or the timing wheel, selected by [`QueueKind`].
 pub(crate) enum EventQueue {
     Heap(BinaryHeap<Reverse<Queued>>),
     Wheel(Box<TimingWheel>),
@@ -492,7 +489,6 @@ pub fn replay_schedule(ops: &[ScheduleOp], kind: QueueKind) -> u64 {
                 queue.push(Queued {
                     key: EventKey {
                         at: crate::time::SimTime::from_micros(at),
-                        origin: 0,
                         seq,
                     },
                     event: Event::Timer {
@@ -519,16 +515,15 @@ mod tests {
     use super::*;
     use crate::time::SimTime;
 
-    fn q(at: u64, origin: u64, seq: u64) -> Queued {
+    fn q(at: u64, seq: u64) -> Queued {
         Queued {
             key: EventKey {
                 at: SimTime::from_micros(at),
-                origin,
                 seq,
             },
             event: Event::Timer {
                 node: NodeId(0),
-                token: origin,
+                token: seq,
             },
         }
     }
@@ -546,18 +541,18 @@ mod tests {
         let mut w = TimingWheel::new();
         let mut keys: Vec<EventKey> = Vec::new();
         // Same-time tie bursts, distinct times, out-of-order pushes.
-        for (at, origin, seq) in [
-            (50, 3, 0),
-            (10, 1, 0),
-            (50, 1, 2),
-            (50, 1, 1),
-            (0, 9, 9),
-            (10, 0, 7),
-            (1 << 20, 0, 0),
-            (50, 3, 1),
+        for (at, seq) in [
+            (50, 6),
+            (10, 4),
+            (50, 3),
+            (50, 2),
+            (0, 9),
+            (10, 1),
+            (1 << 20, 0),
+            (50, 7),
         ] {
-            w.push(q(at, origin, seq));
-            keys.push(q(at, origin, seq).key);
+            w.push(q(at, seq));
+            keys.push(q(at, seq).key);
         }
         keys.sort();
         assert_eq!(drain_keys(&mut w), keys);
@@ -566,29 +561,29 @@ mod tests {
     #[test]
     fn same_timestamp_push_during_drain_joins_bucket() {
         let mut w = TimingWheel::new();
-        w.push(q(100, 5, 0));
-        w.push(q(100, 7, 0));
+        w.push(q(100, 5));
+        w.push(q(100, 7));
         // Start draining t=100.
         let first = w.pop().unwrap();
-        assert_eq!(first.key.origin, 5);
-        // A zero-delay event created mid-drain with a *lower* origin
+        assert_eq!(first.key.seq, 5);
+        // An event joining the timestamp mid-drain with a *lower* key
         // than the remaining tie must still pop before it.
-        w.push(q(100, 6, 0));
-        assert_eq!(w.pop().unwrap().key.origin, 6);
-        assert_eq!(w.pop().unwrap().key.origin, 7);
+        w.push(q(100, 6));
+        assert_eq!(w.pop().unwrap().key.seq, 6);
+        assert_eq!(w.pop().unwrap().key.seq, 7);
         assert!(w.pop().is_none());
     }
 
     #[test]
     fn push_below_frontier_lands_in_backlog_and_pops_first() {
         let mut w = TimingWheel::new();
-        w.push(q(1_000, 0, 0));
-        w.push(q(5_000, 0, 1));
+        w.push(q(1_000, 0));
+        w.push(q(5_000, 1));
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 1_000);
         // Frontier has advanced past 1 000; a later environment-style
         // push below it must still come out in time order.
         assert_eq!(w.peek_key().unwrap().at.as_micros(), 5_000);
-        w.push(q(2_000, u64::MAX, 0));
+        w.push(q(2_000, 2));
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 2_000);
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 5_000);
     }
@@ -602,8 +597,8 @@ mod tests {
         let mut expect = Vec::new();
         let boundaries = [63, 64, 65, 4_095, 4_096, 4_097, 262_143, 262_144];
         for (i, &at) in boundaries.iter().enumerate() {
-            w.push(q(at, i as u64, 0));
-            expect.push(q(at, i as u64, 0).key);
+            w.push(q(at, i as u64));
+            expect.push(q(at, i as u64).key);
         }
         expect.sort();
         assert_eq!(drain_keys(&mut w), expect);
@@ -615,13 +610,13 @@ mod tests {
     #[test]
     fn interleaved_rollover_across_level_boundary() {
         let mut w = TimingWheel::new();
-        w.push(q(60, 0, 0));
+        w.push(q(60, 0));
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 60);
         // Frontier now 60; push just past the level-0 horizon (64) and
         // beyond the level-1 horizon (4096).
-        w.push(q(63, 0, 1));
-        w.push(q(64, 0, 2));
-        w.push(q(5_000, 0, 3));
+        w.push(q(63, 1));
+        w.push(q(64, 2));
+        w.push(q(5_000, 3));
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 63);
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 64);
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 5_000);
@@ -632,10 +627,10 @@ mod tests {
     fn far_future_times_go_through_overflow() {
         let mut w = TimingWheel::new();
         let far = 1u64 << 50; // beyond the 2^42 µs horizon
-        w.push(q(5, 0, 0));
-        w.push(q(far + 3, 0, 1));
-        w.push(q(far, 0, 2));
-        w.push(q(far + (1 << 44), 0, 3)); // a *different* overflow window
+        w.push(q(5, 0));
+        w.push(q(far + 3, 1));
+        w.push(q(far, 2));
+        w.push(q(far + (1 << 44), 3)); // a *different* overflow window
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 5);
         assert_eq!(w.pop().unwrap().key.at.as_micros(), far);
         assert_eq!(w.pop().unwrap().key.at.as_micros(), far + 3);
@@ -646,13 +641,13 @@ mod tests {
     #[test]
     fn drained_wheel_rebases_for_late_pushes() {
         let mut w = TimingWheel::new();
-        w.push(q(1 << 30, 0, 0));
+        w.push(q(1 << 30, 0));
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 1 << 30);
         assert!(w.pop().is_none());
         // Empty again: pushes far below the stale frontier must take
         // the fast wheel path (re-based), not the backlog.
-        w.push(q(7, 0, 1));
-        w.push(q(3, 0, 2));
+        w.push(q(7, 1));
+        w.push(q(3, 2));
         assert!(w.backlog.is_empty());
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 3);
         assert_eq!(w.pop().unwrap().key.at.as_micros(), 7);
@@ -663,7 +658,7 @@ mod tests {
         let mut w = TimingWheel::new();
         for round in 0..10u64 {
             for i in 0..100u64 {
-                w.push(q(round * 1_000 + i, i, round));
+                w.push(q(round * 1_000 + i, round * 100 + i));
             }
             for _ in 0..100 {
                 w.pop().unwrap();
@@ -701,9 +696,11 @@ mod tests {
                     5 => r % (1 << 20),
                     _ => 1 << (36 + (r % 12)),
                 };
-                let item = q(now + delta, r % 5, i);
-                wheel.push(q(now + delta, r % 5, i));
-                heap.push(Reverse(item));
+                // `seq` is not monotone in push order, so same-time ties
+                // exercise the bucket's key order, not just FIFO.
+                let seq = (r % 5) << 32 | i;
+                wheel.push(q(now + delta, seq));
+                heap.push(Reverse(q(now + delta, seq)));
             } else {
                 let got = wheel.pop();
                 let want = heap.pop().map(|Reverse(x)| x);

@@ -1,7 +1,5 @@
 //! Property test: the timing wheel (`QueueKind::Wheel`) is
-//! byte-identical to the `BinaryHeap` oracle (`QueueKind::Heap`) on
-//! both engines — the legacy serial loop and the conservative PDES
-//! engine at 1–8 workers.
+//! byte-identical to the `BinaryHeap` oracle (`QueueKind::Heap`).
 //!
 //! Each proptest case draws an adversarial schedule aimed at the
 //! wheel's corner cases:
@@ -28,9 +26,7 @@ use std::rc::Rc;
 
 use bytecache_netsim::channel::{ChannelConfig, LossModel};
 use bytecache_netsim::time::{SimDuration, SimTime};
-use bytecache_netsim::{
-    Context, ExecMode, FnTrace, LinkConfig, Node, QueueKind, Simulator, TraceEvent,
-};
+use bytecache_netsim::{Context, FnTrace, LinkConfig, Node, QueueKind, Simulator, TraceEvent};
 use bytecache_packet::{Packet, TcpFlags};
 use bytecache_telemetry::Recorder;
 use proptest::prelude::*;
@@ -230,9 +226,8 @@ type Digest = (
     Recorder,                   // telemetry (wall-clock stripped)
 );
 
-fn run_case(plan: &Plan, mode: ExecMode, kind: QueueKind) -> Digest {
+fn run_case(plan: &Plan, kind: QueueKind) -> Digest {
     let mut sim = Simulator::new(plan.seed);
-    sim.set_exec_mode(mode);
     sim.set_queue_kind(kind);
     sim.set_telemetry_enabled(true);
     let trace_log: Rc<RefCell<Vec<String>>> = Rc::default();
@@ -318,32 +313,15 @@ fn run_case(plan: &Plan, mode: ExecMode, kind: QueueKind) -> Digest {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Legacy serial engine: the wheel reproduces the historical
-    /// global-insertion-order tie-break bit for bit.
+    /// The wheel reproduces the heap's `(time, insertion seq)` order bit
+    /// for bit.
     #[test]
     fn wheel_matches_heap_on_legacy_serial(plan in plan_strategy()) {
-        let heap = run_case(&plan, ExecMode::Serial, QueueKind::Heap);
-        let wheel = run_case(&plan, ExecMode::Serial, QueueKind::Wheel);
+        let heap = run_case(&plan, QueueKind::Heap);
+        let wheel = run_case(&plan, QueueKind::Wheel);
         prop_assert_eq!(heap, wheel);
-    }
-
-    /// Deterministic engines: heap and wheel agree with each other and
-    /// across the serial oracle and PDES at 1–8 workers.
-    #[test]
-    fn wheel_matches_heap_across_pdes_engines(plan in plan_strategy()) {
-        let oracle = run_case(&plan, ExecMode::SerialDet, QueueKind::Heap);
-        let wheel = run_case(&plan, ExecMode::SerialDet, QueueKind::Wheel);
-        prop_assert_eq!(&wheel, &oracle, "SerialDet wheel diverged from heap");
-        for workers in [1usize, 2, 3, 8] {
-            let got = run_case(&plan, ExecMode::Parallel { workers }, QueueKind::Wheel);
-            prop_assert_eq!(&got, &oracle, "wheel PDES diverged at {} workers", workers);
-        }
-        for workers in [2usize, 8] {
-            let got = run_case(&plan, ExecMode::Parallel { workers }, QueueKind::Heap);
-            prop_assert_eq!(&got, &oracle, "heap PDES diverged at {} workers", workers);
-        }
     }
 }
 
@@ -377,23 +355,10 @@ fn dense_fixed_scenario_agrees_everywhere() {
         cut_us: 2_500,
         seed: 0xBC8,
     };
-    let oracle = run_case(&plan, ExecMode::SerialDet, QueueKind::Heap);
+    let heap = run_case(&plan, QueueKind::Heap);
     assert!(
-        oracle.0.iter().any(|a| !a.is_empty()),
+        heap.0.iter().any(|a| !a.is_empty()),
         "scenario delivers packets"
     );
-    assert_eq!(
-        run_case(&plan, ExecMode::SerialDet, QueueKind::Wheel),
-        oracle
-    );
-    for workers in [1usize, 2, 3, 4, 8] {
-        assert_eq!(
-            run_case(&plan, ExecMode::Parallel { workers }, QueueKind::Wheel),
-            oracle,
-            "diverged at {workers} workers"
-        );
-    }
-    let serial_heap = run_case(&plan, ExecMode::Serial, QueueKind::Heap);
-    let serial_wheel = run_case(&plan, ExecMode::Serial, QueueKind::Wheel);
-    assert_eq!(serial_heap, serial_wheel);
+    assert_eq!(run_case(&plan, QueueKind::Wheel), heap);
 }

@@ -1,7 +1,7 @@
 //! Property test: routing-table recomputation in the `topology` module
-//! is deterministic and byte-identical across `Serial`, `SerialDet` and
-//! `Parallel{1..8}` on random mesh topologies with scheduled attachment
-//! changes.
+//! is deterministic — the same plan run twice is identical — and
+//! byte-identical on both event-queue kinds, on random mesh topologies
+//! with scheduled attachment changes.
 //!
 //! Each case draws a random mesh (4–6 relays), binds two or three sink
 //! addresses, disables a random subset of edges up front, and schedules
@@ -10,14 +10,6 @@
 //! diffs the derived tables and feeds `schedule_route_change`. Burst
 //! sources then push traffic through whatever routes survive.
 //!
-//! Links are clean (no loss/corruption/reordering) and unpaced, so the
-//! run is deterministic in *every* exec mode, including the legacy
-//! serial loop whose global-RNG loss draws are otherwise allowed to
-//! differ. Same-timestamp events at one node may still pop in a
-//! mode-specific order, which cannot change counters, timestamps or
-//! routes here (forwarding is timing-independent without serialization
-//! delay) — the digest sorts the trace and per-sink arrivals into a
-//! canonical order so that permutation is not mistaken for divergence.
 //! On top of the traffic digest, the derived routing tables themselves
 //! ([`Topology::route_entries`]) are snapshotted at every recomputation
 //! checkpoint and byte-compared.
@@ -29,7 +21,7 @@ use std::rc::Rc;
 use bytecache_netsim::channel::ChannelConfig;
 use bytecache_netsim::time::{SimDuration, SimTime};
 use bytecache_netsim::{
-    Context, ExecMode, FnTrace, LinkConfig, Node, NodeId, Simulator, Topology, TraceEvent,
+    Context, FnTrace, LinkConfig, Node, NodeId, QueueKind, Simulator, Topology, TraceEvent,
 };
 use bytecache_packet::{Packet, TcpFlags};
 use proptest::prelude::*;
@@ -87,9 +79,9 @@ impl Node for Sink {
 
 /// A random mesh + attachment-change schedule. Edge indices address the
 /// canonical mesh edge list (all pairs `i < j` in order); times are
-/// strictly increasing and odd so an environment-scheduled route change
-/// never ties with a packet event (which all land on even microseconds:
-/// even gaps, even propagation, no serialization delay).
+/// strictly increasing and odd so a scheduled route change never ties
+/// with a packet event (which all land on even microseconds: even gaps,
+/// even propagation, no serialization delay).
 #[derive(Debug, Clone)]
 struct Plan {
     relays: usize,
@@ -156,8 +148,6 @@ fn clean_link(prop_ms: u64) -> LinkConfig {
     }
 }
 
-/// Zero-padded timestamps so a lexicographic sort of the trace lines is
-/// chronological; within one timestamp the sort is the canonical order.
 fn fmt_trace(ev: &TraceEvent<'_>) -> String {
     match ev {
         TraceEvent::Transmit {
@@ -193,15 +183,15 @@ fn fmt_trace(ev: &TraceEvent<'_>) -> String {
     }
 }
 
-/// Everything observable about a finished run, in canonical order.
+/// Everything observable about a finished run.
 type Digest = (
     Vec<String>,                // routing tables at every recomputation
-    Vec<Vec<(SimTime, usize)>>, // per-sink arrivals (sorted)
+    Vec<Vec<(SimTime, usize)>>, // per-sink arrivals
     Vec<String>,                // per-link stats
     SimTime,                    // final clock
     u64,                        // events processed
     u64,                        // no-route drops
-    Vec<String>,                // trace log (sorted)
+    Vec<String>,                // trace log
 );
 
 fn routes_snapshot(topo: &Topology) -> String {
@@ -212,9 +202,9 @@ fn routes_snapshot(topo: &Topology) -> String {
     s
 }
 
-fn run_case(plan: &Plan, mode: ExecMode) -> Digest {
+fn run_case(plan: &Plan, kind: QueueKind) -> Digest {
     let mut sim = Simulator::new(0xBC_70_70 ^ plan.relays as u64);
-    sim.set_exec_mode(mode);
+    sim.set_queue_kind(kind);
     let trace_log: Rc<RefCell<Vec<String>>> = Rc::default();
     {
         let log = Rc::clone(&trace_log);
@@ -273,19 +263,15 @@ fn run_case(plan: &Plan, mode: ExecMode) -> Digest {
 
     sim.run_until_idle();
 
-    let mut arrivals: Vec<Vec<(SimTime, usize)>> = sinks
+    let arrivals = sinks
         .iter()
         .map(|&s| sim.node::<Sink>(s).unwrap().arrivals.clone())
         .collect();
-    for a in &mut arrivals {
-        a.sort_unstable();
-    }
     let stats = links
         .iter()
         .map(|&l| format!("{:?}", sim.link_stats(l)))
         .collect();
-    let mut log = std::mem::take(&mut *trace_log.borrow_mut());
-    log.sort_unstable();
+    let log = std::mem::take(&mut *trace_log.borrow_mut());
     (
         route_log,
         arrivals,
@@ -297,27 +283,24 @@ fn run_case(plan: &Plan, mode: ExecMode) -> Digest {
     )
 }
 
-fn assert_all_modes_agree(plan: &Plan) {
-    let oracle = run_case(plan, ExecMode::SerialDet);
-    let legacy = run_case(plan, ExecMode::Serial);
-    assert_eq!(
-        legacy, oracle,
-        "legacy serial diverged from the oracle on a clean topology"
-    );
-    for workers in [1usize, 2, 4, 8] {
-        let got = run_case(plan, ExecMode::Parallel { workers });
-        assert_eq!(got, oracle, "diverged from the oracle at {workers} workers");
-    }
+/// The plan's heap digest, after checking that a second heap run and a
+/// wheel run reproduce it.
+fn assert_repeatable_on_both_kinds(plan: &Plan) -> Digest {
+    let heap = run_case(plan, QueueKind::Heap);
+    assert_eq!(run_case(plan, QueueKind::Heap), heap, "same plan twice");
+    assert_eq!(run_case(plan, QueueKind::Wheel), heap, "wheel vs heap");
+    heap
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random mesh + random attachment-change schedule: identical
-    /// routing tables and identical traffic in every exec mode.
+    /// routing tables and identical traffic on every run and on both
+    /// queue kinds.
     #[test]
     fn reroutes_are_mode_invariant(plan in plan_strategy()) {
-        assert_all_modes_agree(&plan);
+        assert_repeatable_on_both_kinds(&plan);
     }
 }
 
@@ -334,9 +317,8 @@ fn fixed_mesh_reroute_agrees_everywhere() {
         sources: vec![(4, 800, 30, 64), (3, 1_200, 25, 120), (2, 1_600, 20, 40)],
         prop_ms: 2,
     };
-    assert_all_modes_agree(&plan);
+    let digest = assert_repeatable_on_both_kinds(&plan);
     // The schedule genuinely changes the derived tables at least once.
-    let digest = run_case(&plan, ExecMode::SerialDet);
     assert!(
         digest.0.windows(2).any(|w| w[0] != w[1]),
         "attachment changes never altered the routing tables"

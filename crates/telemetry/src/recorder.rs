@@ -257,9 +257,9 @@ impl Recorder {
     /// Drop every wall-clock-derived series (the `span.*` histograms,
     /// which time host execution rather than simulated behaviour). Use
     /// before comparing two recorders for simulation-level equality —
-    /// e.g. the PDES determinism checks, where serial and parallel runs
-    /// must match on every simulated metric but naturally differ in
-    /// host timing.
+    /// e.g. the determinism checks, where two runs of one scenario must
+    /// match on every simulated metric but naturally differ in host
+    /// timing.
     pub fn strip_wall_clock(&mut self) {
         self.hists.retain(|(name, _), _| !name.starts_with("span."));
     }

@@ -224,6 +224,54 @@ fn documents_name_only_what_the_tree_contains() {
     );
 }
 
+/// `repro --help` exits 0 and lists exactly the experiments the binary
+/// accepts and exactly the flags its parser compares against; an
+/// unknown flag gets the same text on stderr and exit 2.
+#[test]
+fn repro_help_lists_exactly_the_arms_and_flags_that_exist() {
+    let repro = |arg: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(arg)
+            .output()
+            .expect("run repro")
+    };
+    let help = repro("--help");
+    assert_eq!(help.status.code(), Some(0));
+    assert_eq!(repro("-h").stdout, help.stdout);
+    let usage = String::from_utf8(help.stdout).expect("utf-8 usage");
+
+    // Entries are indented two spaces, their continuation lines more.
+    let entries = |from: &str, to: &str| -> Vec<String> {
+        let section = usage.split_once(from).expect(from).1;
+        let section = section.split_once(to).expect(to).0;
+        section
+            .lines()
+            .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+            .map(|l| take(l.trim_start(), |c| !c.is_whitespace() && c != ',').to_string())
+            .collect()
+    };
+    let mut arms = repro_arms();
+    arms.retain(|a| a != "verify-metrics");
+    assert_eq!(entries("experiments:\n", "\nflags:"), arms);
+
+    let src = std::fs::read_to_string(root().join("crates/experiments/src/bin/repro.rs"))
+        .expect("repro source");
+    let mut parsed: Vec<String> = src
+        .match_indices("arg == \"--")
+        .map(|(at, m)| format!("--{}", take(&src[at + m.len()..], |c| c != '"')))
+        .filter(|f| f != "--require") // belongs to verify-metrics, listed with it
+        .collect();
+    parsed.sort();
+    let mut listed = entries("flags:\n", "\nverify-metrics");
+    listed.sort();
+    assert_eq!(listed, parsed);
+    assert!(usage.contains("--require"));
+
+    let unknown = repro("--no-such-flag");
+    assert_eq!(unknown.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&unknown.stderr).contains(&usage));
+}
+
 #[test]
 fn the_scanner_sees_each_kind_of_token() {
     let text = "see `crates/gone`, vendor/gone, crates/{rabin,nope}, crates/core/src/gone.rs, \

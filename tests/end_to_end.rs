@@ -7,6 +7,8 @@
 
 use bytecache::PolicyKind;
 use bytecache_experiments::{run_scenario, ScenarioConfig};
+use bytecache_netsim::time::SimDuration;
+use bytecache_netsim::QueueKind;
 use bytecache_workload::{generate, FileSpec, ObjectKind};
 
 fn robust_policies() -> Vec<PolicyKind> {
@@ -153,20 +155,99 @@ fn real_object_classes_transfer_intact() {
     }
 }
 
+/// Everything observable about a run, rendered into one comparable
+/// string (telemetry minus the wall-clock `span.*` histograms, which
+/// time the host and not the simulation).
+fn digest(config: &ScenarioConfig) -> String {
+    let r = run_scenario(config);
+    let mut out = format!(
+        "complete={} intact={} bytes={} dur_us={:?} frac={:.6} end_us={} \
+         wire_bytes={} wireless={:?} undecodable={} recover={} resyncs={} \
+         server={:?} encoder={:?} decoder={:?}",
+        r.client.complete,
+        r.data_intact,
+        r.client.bytes_delivered,
+        r.client.duration().map(|d| d.as_micros()),
+        r.fraction_retrieved(),
+        r.end_time.as_micros(),
+        r.wire_bytes(),
+        r.wireless,
+        r.undecodable_drops,
+        r.recovery_requests,
+        r.resyncs_sent,
+        r.server,
+        r.encoder,
+        r.decoder,
+    );
+    if let Some(snapshot) = &r.telemetry {
+        let mut t = snapshot.clone();
+        t.strip_wall_clock();
+        for (k, v) in t.counters() {
+            out.push_str(&format!("\nC {k:?}={v}"));
+        }
+        for (k, v) in t.gauges() {
+            out.push_str(&format!("\nG {k:?}={v}"));
+        }
+        for (k, h) in t.hists() {
+            out.push_str(&format!("\nH {k:?}={h:?}"));
+        }
+    }
+    out
+}
+
+/// The same configuration digests identically on a second run and on
+/// the heap event queue, on every channel and protocol shape the
+/// scenario can take: plain loss, bursty loss with reordering (and
+/// telemetry on), corruption, NACKs, and a cache wipe recovered over a
+/// faulty control channel.
 #[test]
 fn runs_are_deterministic_across_invocations() {
-    let object = FileSpec::File2.build(150_000, 7);
-    let cfg = ScenarioConfig::new(object)
+    let object = || FileSpec::File1.build(120_000, 3);
+    let lossy = ScenarioConfig::new(FileSpec::File2.build(150_000, 7))
         .policy(PolicyKind::TcpSeq)
         .loss(0.07)
         .seed(77);
-    let a = run_scenario(&cfg);
-    let b = run_scenario(&cfg);
-    assert_eq!(a.duration_secs(), b.duration_secs());
-    assert_eq!(a.wire_bytes(), b.wire_bytes());
-    assert_eq!(a.undecodable_drops, b.undecodable_drops);
-    assert_eq!(a.encoder, b.encoder);
-    assert_eq!(a.decoder, b.decoder);
+    let mut bursty = ScenarioConfig::new(object())
+        .policy(PolicyKind::TcpSeq)
+        .loss(0.08)
+        .seed(4)
+        .reorder_burst(3)
+        .telemetry(true);
+    bursty.burst_len = Some(4.0);
+    bursty.reorder_rate = 0.05;
+    let mut corrupting = ScenarioConfig::new(object())
+        .policy(PolicyKind::TcpSeq)
+        .loss(0.02)
+        .seed(8);
+    corrupting.corruption_rate = 0.03;
+    let mut nacks = ScenarioConfig::new(object())
+        .policy(PolicyKind::KDistance(8))
+        .loss(0.05)
+        .seed(2);
+    nacks.nacks = true;
+    let wiped = ScenarioConfig::new(object())
+        .policy(PolicyKind::CacheFlush)
+        .loss(0.03)
+        .seed(6)
+        .recovery()
+        .wipe_at(SimDuration::from_millis(150))
+        .nack_faults(0.05, 0.05)
+        .telemetry(true);
+    for (label, cfg) in [
+        ("lossy", lossy),
+        ("bursty-reorder", bursty),
+        ("corruption", corrupting),
+        ("nacks", nacks),
+        ("wipe-recovery", wiped),
+    ] {
+        let first = digest(&cfg);
+        assert_eq!(digest(&cfg), first, "{label}: second run differs");
+        assert_eq!(
+            digest(&cfg.queue(Some(QueueKind::Heap))),
+            first,
+            "{label}: heap queue differs"
+        );
+    }
 }
 
 #[test]
