@@ -44,6 +44,7 @@ use crate::migrate::{DecoderState, MigrateError};
 use crate::policy::PacketMeta;
 use crate::sharded::{ShardFeedback, ShardedDecoder, ShardedEncoder};
 use crate::stats::{DecoderStats, EncoderStats};
+use crate::store::FlowState;
 
 /// TCP port used by gateway-to-gateway NACK control packets.
 pub const CONTROL_PORT: u16 = 7777;
@@ -104,7 +105,7 @@ fn packet_meta(packet: &Packet) -> PacketMeta {
 /// everything else through, and feeds reverse traffic to the policy.
 pub struct EncoderGateway {
     encoder: ShardedEncoder,
-    encode_dsts: HashSet<Ipv4Addr>,
+    encode_dsts: HashSet<Ipv4Addr, FlowState>,
     control_addr: Option<Ipv4Addr>,
     nacks_received: u64,
     /// Control payloads that failed to parse cleanly (truncated trailing
@@ -396,7 +397,7 @@ impl core::fmt::Debug for EncoderGateway {
 /// gateway (informed marking, after Lumezanu et al.).
 pub struct DecoderGateway {
     decoder: ShardedDecoder,
-    decode_dsts: HashSet<Ipv4Addr>,
+    decode_dsts: HashSet<Ipv4Addr, FlowState>,
     /// Where to send NACKs, if informed marking is on.
     nack_target: Option<(Ipv4Addr, u16)>,
     /// Local address used as the source of NACK packets.

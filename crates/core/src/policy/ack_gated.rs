@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use bytecache_packet::{FlowId, Packet, SeqNum, TcpFlags};
 
 use crate::policy::{PacketMeta, Policy};
-use crate::store::{EntryMeta, PacketId};
+use crate::store::{EntryMeta, FlowState, PacketId};
 
 /// Only encode against data the receiver has cumulatively ACKed.
 ///
@@ -28,7 +28,7 @@ use crate::store::{EntryMeta, PacketId};
 #[derive(Debug, Default)]
 pub struct AckGated {
     /// Highest cumulative ACK seen, keyed by the *data-direction* flow.
-    acked: HashMap<FlowId, SeqNum>,
+    acked: HashMap<FlowId, SeqNum, FlowState>,
 }
 
 impl AckGated {

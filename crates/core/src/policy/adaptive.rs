@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use bytecache_packet::{FlowId, SeqNum};
 
 use crate::policy::{is_retransmission, PacketMeta, Policy, PrePacket};
-use crate::store::{EntryMeta, PacketId};
+use crate::store::{EntryMeta, FlowState, PacketId};
 
 /// k-distance with the distance driven by the observed loss rate.
 ///
@@ -34,8 +34,8 @@ pub struct Adaptive {
     losses_per_group: f64,
     min_k: u64,
     max_k: u64,
-    highest_seq: HashMap<FlowId, SeqNum>,
-    last_reference: HashMap<FlowId, u64>,
+    highest_seq: HashMap<FlowId, SeqNum, FlowState>,
+    last_reference: HashMap<FlowId, u64, FlowState>,
 }
 
 impl Default for Adaptive {
@@ -46,8 +46,8 @@ impl Default for Adaptive {
             losses_per_group: 0.5,
             min_k: 2,
             max_k: 64,
-            highest_seq: HashMap::new(),
-            last_reference: HashMap::new(),
+            highest_seq: HashMap::default(),
+            last_reference: HashMap::default(),
         }
     }
 }
@@ -143,7 +143,7 @@ pub struct Degrading {
     /// Set by `before_packet` on a state change; drained by
     /// [`Policy::poll_transition`].
     transition: Option<bool>,
-    highest_seq: HashMap<FlowId, SeqNum>,
+    highest_seq: HashMap<FlowId, SeqNum, FlowState>,
 }
 
 impl Default for Degrading {
@@ -155,7 +155,7 @@ impl Default for Degrading {
             exit: 0.05,
             degraded: false,
             transition: None,
-            highest_seq: HashMap::new(),
+            highest_seq: HashMap::default(),
         }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use bytecache_packet::{FlowId, SeqNum};
 
 use crate::policy::{is_retransmission, PacketMeta, Policy, PrePacket};
-use crate::store::{EntryMeta, PacketId};
+use crate::store::{EntryMeta, FlowState, PacketId};
 
 /// Flush the entire cache whenever a TCP retransmission is observed.
 ///
@@ -26,7 +26,7 @@ use crate::store::{EntryMeta, PacketId};
 /// confined to 1/N of the traffic.
 #[derive(Debug, Default)]
 pub struct CacheFlush {
-    highest_seq: HashMap<FlowId, SeqNum>,
+    highest_seq: HashMap<FlowId, SeqNum, FlowState>,
     flushes: u64,
 }
 

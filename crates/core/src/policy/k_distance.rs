@@ -5,7 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use bytecache_packet::FlowId;
 
 use crate::policy::{PacketMeta, Policy, PrePacket};
-use crate::store::{EntryMeta, PacketId};
+use crate::store::{EntryMeta, FlowState, PacketId};
 
 /// Default bound on flows with a tracked reference. Far above any
 /// experiment's flow count (so behavior there is unchanged), but a
@@ -31,7 +31,7 @@ pub const DEFAULT_MAX_TRACKED_FLOWS: usize = 65_536;
 pub struct KDistance {
     k: u64,
     max_flows: usize,
-    last_reference: HashMap<FlowId, u64>,
+    last_reference: HashMap<FlowId, u64, FlowState>,
     /// Flows in first-reference order; evicting its front when the map
     /// overflows is deterministic, unlike iterating the `HashMap`.
     insertion_order: VecDeque<FlowId>,
@@ -49,7 +49,7 @@ impl KDistance {
         KDistance {
             k,
             max_flows: DEFAULT_MAX_TRACKED_FLOWS,
-            last_reference: HashMap::new(),
+            last_reference: HashMap::default(),
             insertion_order: VecDeque::new(),
         }
     }

@@ -28,7 +28,7 @@ use core::fmt;
 
 use bytecache_packet::{FlowId, Packet, SeqNum};
 
-use crate::store::{EntryMeta, PacketId};
+use crate::store::{EntryMeta, FlowState, PacketId};
 
 mod ack_gated;
 mod adaptive;
@@ -153,7 +153,7 @@ impl PolicyKind {
 /// repeat) within a flow as a retransmission signal. Returns `true` if
 /// `seq` does not advance past the highest start seen so far.
 pub(crate) fn is_retransmission(
-    highest: &mut std::collections::HashMap<FlowId, SeqNum>,
+    highest: &mut std::collections::HashMap<FlowId, SeqNum, FlowState>,
     flow: FlowId,
     seq: SeqNum,
 ) -> bool {
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn retransmission_detector() {
-        let mut highest = HashMap::new();
+        let mut highest = HashMap::default();
         let f = flow();
         assert!(!is_retransmission(&mut highest, f, SeqNum::new(100)));
         assert!(!is_retransmission(&mut highest, f, SeqNum::new(200)));
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn retransmission_detector_is_per_flow() {
-        let mut highest = HashMap::new();
+        let mut highest = HashMap::default();
         let f1 = flow();
         let f2 = FlowId { src_port: 81, ..f1 };
         assert!(!is_retransmission(&mut highest, f1, SeqNum::new(500)));

@@ -500,3 +500,22 @@ fn multi_destination_gateways_serve_two_clients() {
         "{stats:?}"
     );
 }
+
+#[test]
+fn gateways_built_from_the_same_destinations_format_identically() {
+    // The destination sets hash without a per-instance key, so two
+    // gateways built from one list hold (and print) their sets alike.
+    let dsts: Vec<Ipv4Addr> = (0..64u8).map(|i| Ipv4Addr::new(40, 0, i, 2)).collect();
+    let dre = DreConfig::default();
+    let encoder = || {
+        EncoderGateway::for_destinations(
+            Encoder::new(dre.clone(), PolicyKind::TcpSeq.build()),
+            dsts.iter().copied(),
+        )
+    };
+    let decoder = || {
+        DecoderGateway::for_destinations(Decoder::new(dre.clone()), dsts.iter().copied(), DEC_GW)
+    };
+    assert_eq!(format!("{:?}", encoder()), format!("{:?}", encoder()));
+    assert_eq!(format!("{:?}", decoder()), format!("{:?}", decoder()));
+}

@@ -9,6 +9,12 @@ use crate::FINGERPRINT_BITS;
 /// payload across (see [`Fingerprinter::scan_sampled_batched`]).
 pub const SCAN_LANES: usize = 4;
 
+/// Zero bits below a left-aligned residue. The engine keeps a running
+/// fingerprint in the top [`FINGERPRINT_BITS`] bits of a `u64`, so the
+/// 8-bit shift of an append drops the outgoing top byte by itself and
+/// `f >> 56`, provably below 256, indexes the tables.
+const ALIGN: u32 = u64::BITS - FINGERPRINT_BITS;
+
 /// Reusable per-lane buffers for [`Fingerprinter::scan_sampled_batched`].
 ///
 /// Each lane collects the sampled `(offset, fingerprint)` pairs of its
@@ -48,11 +54,12 @@ pub struct LaneScratch {
 pub struct Fingerprinter {
     poly: Polynomial,
     window: usize,
-    /// `append[hi]` = `(hi · x^53) mod P` — folds the bits shifted out by
-    /// an 8-bit left shift back into the residue.
+    /// `append[hi]` = `(hi · x^53) mod P`, left-aligned — folds the bits
+    /// shifted out by an 8-bit left shift back into the residue.
     append: [u64; 256],
-    /// `remove[b]` = `(b · x^(8·window)) mod P` — the contribution of a
-    /// byte that is `window` positions old, ready to be XOR-cancelled.
+    /// `remove[b]` = `(b · x^(8·window)) mod P`, left-aligned — the
+    /// contribution of a byte that is `window` positions old, ready to
+    /// be XOR-cancelled.
     remove: [u64; 256],
 }
 
@@ -71,8 +78,8 @@ impl Fingerprinter {
         // x^(8*window) mod P, the weight of the oldest byte after a shift.
         let x8w = gf2::x_pow_mod(8 * window as u32, m);
         for b in 0..256u32 {
-            append[b as usize] = gf2::reduce((b as u128) << FINGERPRINT_BITS, m) as u64;
-            remove[b as usize] = gf2::mul_mod(b as u128, x8w, m) as u64;
+            append[b as usize] = (gf2::reduce((b as u128) << FINGERPRINT_BITS, m) as u64) << ALIGN;
+            remove[b as usize] = (gf2::mul_mod(b as u128, x8w, m) as u64) << ALIGN;
         }
         Fingerprinter {
             poly,
@@ -80,6 +87,24 @@ impl Fingerprinter {
             append,
             remove,
         }
+    }
+
+    /// [`append`](Self::append) on a left-aligned residue.
+    #[inline]
+    fn push(&self, f: u64, byte: u8) -> u64 {
+        (f << 8 | u64::from(byte) << ALIGN) ^ self.append[(f >> 56) as usize]
+    }
+
+    /// [`roll`](Self::roll) on a left-aligned residue.
+    #[inline]
+    fn slide(&self, f: u64, outgoing: u8, incoming: u8) -> u64 {
+        self.push(f, incoming) ^ self.remove[usize::from(outgoing)]
+    }
+
+    /// The left-aligned fingerprint of all of `data`.
+    #[inline]
+    fn fold(&self, data: &[u8]) -> u64 {
+        data.iter().fold(0, |f, &b| self.push(f, b))
     }
 
     /// The modulus this engine reduces by.
@@ -98,9 +123,7 @@ impl Fingerprinter {
     #[inline]
     #[must_use]
     pub fn append(&self, fp: u64, byte: u8) -> u64 {
-        const LOW_MASK: u64 = (1 << (FINGERPRINT_BITS - 8)) - 1;
-        let hi = (fp >> (FINGERPRINT_BITS - 8)) as usize;
-        (((fp & LOW_MASK) << 8) | u64::from(byte)) ^ self.append[hi]
+        self.push(fp << ALIGN, byte) >> ALIGN
     }
 
     /// Slide the window: fold in `incoming` and cancel `outgoing`, the
@@ -108,7 +131,7 @@ impl Fingerprinter {
     #[inline]
     #[must_use]
     pub fn roll(&self, fp: u64, outgoing: u8, incoming: u8) -> u64 {
-        self.append(fp, incoming) ^ self.remove[outgoing as usize]
+        self.slide(fp << ALIGN, outgoing, incoming) >> ALIGN
     }
 
     /// Fingerprint an entire byte slice from scratch (non-rolling).
@@ -118,15 +141,13 @@ impl Fingerprinter {
     #[inline]
     #[must_use]
     pub fn fingerprint(&self, data: &[u8]) -> u64 {
-        data.iter().fold(0, |fp, &b| self.append(fp, b))
+        self.fold(data) >> ALIGN
     }
 
     /// Prime a rolling scan: the fingerprint of the *first* window of
     /// `data`, ready to be advanced with [`roll`](Self::roll).
     ///
-    /// This is the startup path of the scalar window scan
-    /// ([`windows`](Self::windows)). Returns `None` if `data` is shorter
-    /// than the window.
+    /// Returns `None` if `data` is shorter than the window.
     #[inline]
     #[must_use]
     pub fn prime(&self, data: &[u8]) -> Option<u64> {
@@ -146,7 +167,7 @@ impl Fingerprinter {
             engine: self,
             data,
             next_start: 0,
-            fp: self.prime(data).unwrap_or(0),
+            f: data.get(..self.window).map_or(0, |first| self.fold(first)),
         }
     }
 
@@ -189,6 +210,12 @@ impl Fingerprinter {
     ///
     /// Payloads too short to pay for priming four chains fall back to
     /// the scalar loop; the emitted stream is identical either way.
+    ///
+    /// Every chain runs on left-aligned residues, so the table index is
+    /// `f >> 56` and the sampler's mask is shifted up to match; each
+    /// lane's outgoing and incoming bytes are cut to the lock-step
+    /// length as slices before the loop. Together these leave the loop
+    /// body without a bounds check.
     pub fn scan_sampled_batched(
         &self,
         data: &[u8],
@@ -202,17 +229,19 @@ impl Fingerprinter {
             return;
         }
         let total = n - w + 1;
+        let mask = sampler.mask() << ALIGN;
         // Short payloads: priming SCAN_LANES chains costs SCAN_LANES
         // window fingerprints; below this the scalar chain wins.
         if total < 8 * w {
-            let mut fp = self.fingerprint(&data[..w]);
-            for pos in 0..total {
-                if sampler.selects(fp) {
-                    emit(pos as u32, fp);
+            let mut f = self.fold(&data[..w]);
+            for (pos, (&outgoing, &incoming)) in data.iter().zip(&data[w..]).enumerate() {
+                if f & mask == 0 {
+                    emit(pos as u32, f >> ALIGN);
                 }
-                if pos + 1 < total {
-                    fp = self.roll(fp, data[pos], data[pos + w]);
-                }
+                f = self.slide(f, outgoing, incoming);
+            }
+            if f & mask == 0 {
+                emit((total - 1) as u32, f >> ALIGN);
             }
             return;
         }
@@ -227,39 +256,37 @@ impl Fingerprinter {
         // serial chain, so folding all four in lock-step overlaps their
         // table-load latencies the same way the main loop overlaps the
         // rolls — the four primes finish in roughly the latency of one.
+        let heads: [&[u8]; SCAN_LANES] = std::array::from_fn(|j| &data[starts[j]..][..w]);
         for i in 0..w {
-            for j in 0..SCAN_LANES {
-                fp[j] = self.append(fp[j], data[starts[j] + i]);
+            for (f, head) in fp.iter_mut().zip(heads) {
+                *f = self.push(*f, head[i]);
             }
         }
-        let min_len = (0..SCAN_LANES)
-            .map(|j| starts[j + 1] - starts[j])
-            .min()
-            .expect("SCAN_LANES > 0");
-        // Lock-step main loop: all four chains test-and-roll each
-        // iteration. Bounding i by min_len - 1 keeps every roll inside
-        // its stripe, so the body carries no per-lane length checks.
-        for i in 0..min_len - 1 {
+        // Lock-step main loop: all four chains test-and-roll each of
+        // `steps` iterations. Stripe 0 (`total / 4` positions) is the
+        // shortest, so one step fewer keeps every roll inside its stripe.
+        let steps = total / SCAN_LANES - 1;
+        let outgoing: [&[u8]; SCAN_LANES] = std::array::from_fn(|j| &data[starts[j]..][..steps]);
+        let incoming: [&[u8]; SCAN_LANES] =
+            std::array::from_fn(|j| &data[starts[j] + w..][..steps]);
+        for i in 0..steps {
             for j in 0..SCAN_LANES {
-                let pos = starts[j] + i;
                 let f = fp[j];
-                if sampler.selects(f) {
-                    scratch.lanes[j].push((pos as u32, f));
+                if f & mask == 0 {
+                    scratch.lanes[j].push(((starts[j] + i) as u32, f >> ALIGN));
                 }
-                fp[j] = self.roll(f, data[pos], data[pos + w]);
+                fp[j] = self.slide(f, outgoing[j][i], incoming[j][i]);
             }
         }
         // Per-lane tail: stripe lengths differ by at most one, so this
         // runs one or two positions per lane.
         for j in 0..SCAN_LANES {
-            let len_j = starts[j + 1] - starts[j];
-            for i in min_len - 1..len_j {
-                let pos = starts[j] + i;
-                if sampler.selects(fp[j]) {
-                    scratch.lanes[j].push((pos as u32, fp[j]));
+            for pos in starts[j] + steps..starts[j + 1] {
+                if fp[j] & mask == 0 {
+                    scratch.lanes[j].push((pos as u32, fp[j] >> ALIGN));
                 }
-                if i + 1 < len_j {
-                    fp[j] = self.roll(fp[j], data[pos], data[pos + w]);
+                if pos + 1 < starts[j + 1] {
+                    fp[j] = self.slide(fp[j], data[pos], data[pos + w]);
                 }
             }
         }
@@ -303,7 +330,8 @@ pub struct Windows<'a> {
     engine: &'a Fingerprinter,
     data: &'a [u8],
     next_start: usize,
-    fp: u64,
+    /// The next window's fingerprint, left-aligned.
+    f: u64,
 }
 
 impl Iterator for Windows<'_> {
@@ -314,11 +342,11 @@ impl Iterator for Windows<'_> {
         if self.next_start + w > self.data.len() {
             return None;
         }
-        let item = (self.next_start, self.fp);
+        let item = (self.next_start, self.f >> ALIGN);
         // Pre-roll for the next call if there is a next window.
         if self.next_start + w < self.data.len() {
-            self.fp = self.engine.roll(
-                self.fp,
+            self.f = self.engine.slide(
+                self.f,
                 self.data[self.next_start],
                 self.data[self.next_start + w],
             );
@@ -563,28 +591,53 @@ mod tests {
 
     #[test]
     fn batched_scan_equals_filtered_windows() {
-        // Cover both the scalar fallback (short payloads) and the
-        // four-lane path, with samplers from select-everything to sparse.
-        for window in [1usize, 4, 16] {
+        // Every stripe geometry: each length from empty, through the
+        // scalar fallback's `8 × window` boundary, to far past it, so the
+        // four stripes are left with every remainder — at the paper's
+        // window and at both ends of the window range — and one payload
+        // of the largest length a packet can carry. Samplers select
+        // everything, the paper's one in sixteen, and almost nothing.
+        // Lengths fall, so one scratch also serves shrinking payloads.
+        let mut state = 0x5EED_u64;
+        let data: Vec<u8> = (0..u16::MAX)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 56) as u8
+            })
+            .collect();
+        let samplers = [0, 4, 32].map(Sampler::new);
+        let mut scratch = LaneScratch::default();
+        let cases = [(16, 1600), (1, 300), (2, 300), (7, 300), (53, 300)];
+        for (window, max_len) in cases {
             let e = engine(window);
-            for len in [0usize, 3, 16, 17, 100, 127, 128, 129, 500, 1400] {
-                let data: Vec<u8> = (0..len as u32)
-                    .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
-                    .collect();
-                for bits in [0u32, 2, 4] {
-                    let s = Sampler::new(bits);
-                    let want: Vec<(u32, u64)> = e
-                        .windows(&data)
+            let all: Vec<(u32, u64)> = (e.windows(&data[..max_len]))
+                .map(|(off, fp)| (off as u32, fp))
+                .collect();
+            for len in (0..=max_len).rev() {
+                let windows = &all[..(len + 1).saturating_sub(window)];
+                for s in &samplers {
+                    let mut got = Vec::new();
+                    e.scan_sampled_batched(&data[..len], s, &mut scratch, |pos, fp| {
+                        got.push((pos, fp));
+                    });
+                    let want: Vec<(u32, u64)> = windows
+                        .iter()
+                        .copied()
                         .filter(|&(_, fp)| s.selects(fp))
-                        .map(|(off, fp)| (off as u32, fp))
                         .collect();
-                    assert_eq!(
-                        batched_pairs(&e, &data, &s),
-                        want,
-                        "window {window} len {len} bits {bits}"
-                    );
+                    assert_eq!(got, want, "window {window} len {len} {s:?}");
                 }
             }
+        }
+        let e = engine(16);
+        for s in &samplers {
+            let want: Vec<(u32, u64)> = (e.windows(&data))
+                .filter(|&(_, fp)| s.selects(fp))
+                .map(|(off, fp)| (off as u32, fp))
+                .collect();
+            assert_eq!(batched_pairs(&e, &data, s), want, "65 535 B {s:?}");
         }
     }
 

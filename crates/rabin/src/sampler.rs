@@ -57,6 +57,12 @@ impl Sampler {
         self.zero_bits
     }
 
+    /// The bits a selected fingerprint has zero.
+    #[inline]
+    pub(crate) fn mask(&self) -> u64 {
+        self.mask
+    }
+
     /// Expected fraction of fingerprints selected (`2^-zero_bits`).
     #[must_use]
     pub fn sampling_fraction(&self) -> f64 {
