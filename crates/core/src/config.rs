@@ -24,11 +24,6 @@ pub struct DreConfig {
     pub max_packets: Option<usize>,
     /// Seed for the fingerprinting modulus (must match on both ends).
     pub polynomial_seed: u64,
-    /// Number of independent engine shards flows are partitioned across
-    /// (see [`ShardedEncoder`](crate::ShardedEncoder)). Each shard owns
-    /// its cache, policy state, id space, and epoch; `1` (the default)
-    /// is byte-for-byte the unsharded engine.
-    pub shards: usize,
 }
 
 impl Default for DreConfig {
@@ -40,7 +35,6 @@ impl Default for DreConfig {
             cache_bytes: 32 << 20,
             max_packets: None,
             polynomial_seed: 0,
-            shards: 1,
         }
     }
 }
@@ -57,7 +51,6 @@ impl DreConfig {
     pub fn validate(&self) {
         assert!(self.window > 0, "window must be positive");
         assert!(self.cache_bytes > 0, "cache byte budget must be positive");
-        assert!(self.shards > 0, "shard count must be positive");
     }
 }
 
@@ -89,16 +82,6 @@ mod tests {
     fn zero_budget_rejected() {
         DreConfig {
             cache_bytes: 0,
-            ..DreConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_rejected() {
-        DreConfig {
-            shards: 0,
             ..DreConfig::default()
         }
         .validate();

@@ -201,13 +201,6 @@ impl Decoder {
         self.core.cache.set_telemetry_enabled(enabled);
     }
 
-    /// Tag this decoder's telemetry (and its cache's) with a shard
-    /// index; [`crate::ShardedDecoder`] sets one per shard.
-    pub fn set_telemetry_shard(&mut self, shard: u32) {
-        self.telemetry.set_shard(shard);
-        self.core.cache.set_telemetry_shard(shard);
-    }
-
     /// The live telemetry recorder.
     #[must_use]
     pub fn telemetry(&self) -> &Recorder {

@@ -131,13 +131,6 @@ impl Encoder {
         self.core.cache.set_telemetry_enabled(enabled);
     }
 
-    /// Tag this encoder's telemetry (and its cache's) with a shard
-    /// index; [`crate::ShardedEncoder`] sets one per shard.
-    pub fn set_telemetry_shard(&mut self, shard: u32) {
-        self.telemetry.set_shard(shard);
-        self.core.cache.set_telemetry_shard(shard);
-    }
-
     /// The live telemetry recorder.
     #[must_use]
     pub fn telemetry(&self) -> &Recorder {

@@ -163,8 +163,7 @@ fn shared_engine(seed: u64, window: usize) -> Fingerprinter {
 }
 
 /// Shared DRE state: configuration, fingerprinting engine, sampler, and
-/// the packet cache. One per encoder, one per decoder — and when the
-/// engine is sharded, one per shard per side.
+/// the packet cache. One per encoder, one per decoder.
 pub(crate) struct EngineCore {
     pub(crate) config: DreConfig,
     pub(crate) engine: Fingerprinter,

@@ -1,34 +1,33 @@
-//! Byte caching gateways: simulator middlebox nodes wrapping the
-//! sharded engine banks ([`ShardedEncoder`] / [`ShardedDecoder`]).
+//! Byte caching gateways: simulator middlebox nodes around one
+//! [`Encoder`] or one [`Decoder`].
 //!
 //! This is the paper's deployment (Figure 1/Figure 3): two appliances on
 //! the path intercept IP packets, the upstream one encodes payloads
 //! travelling toward the client, the downstream one reconstructs them.
 //! TCP endpoints never learn the gateways exist — unless a packet
 //! becomes undecodable, in which case the decoder drops it and TCP sees
-//! loss.
+//! loss. Each gateway owns one engine, so every flow it serves shares
+//! one cache and repeated content is eliminated between flows too.
 //!
 //! Inside the discrete-event simulator a gateway processes one packet
-//! per event, always on the shard its flow hashes to. For trace-driven
-//! multi-client workloads outside the event loop, the
-//! [`process_batch`](EncoderGateway::process_batch) entry points hand a
-//! whole batch to the engine bank, which drives its shards on
-//! concurrent scoped threads and returns the packets in input order.
+//! per event ([`Node::on_packet`]). For trace-driven workloads outside
+//! the event loop, [`process_batch`](EncoderGateway::process_batch) runs
+//! the same per-packet path over a batch, in input order.
 //!
 //! NACK control packets (informed marking) carry 6-byte records —
-//! `shard u16 BE, shim id u32 BE` — because each shard runs an
-//! independent id space; the decoder gateway tags every NACK with the
-//! shard that observed the loss and the encoder gateway routes it back
-//! to that shard's cache.
+//! `reserved u16 BE, shim id u32 BE`. The decoder gateway writes the
+//! reserved field as 0; the encoder gateway ignores a record whose
+//! reserved field is nonzero (it neither marks the id dead nor counts
+//! the record malformed).
 //!
 //! The same control channel also carries the cache-divergence recovery
 //! protocol (when [`DecoderGateway::with_recovery`] enables it):
 //! 8-byte structured messages opening with [`CONTROL_MSG_MAGIC`] —
 //! a resync request (the decoder was wiped; flush and bump the wire
 //! generation) or a recovery request (re-emit one diverged cache entry
-//! raw and tombstone it). NACK records open with the shard index's
-//! high byte, which is zero for any realistic shard count, so the two
-//! framings cannot collide.
+//! raw and tombstone it). They carry the same reserved field, with the
+//! same rule. A NACK record opens with the reserved field's high byte,
+//! which is zero, so the two framings cannot collide.
 
 use std::collections::HashSet;
 use std::net::Ipv4Addr;
@@ -38,11 +37,10 @@ use bytecache_netsim::{Context, Node};
 use bytecache_packet::{FlowId, Packet, TcpFlags};
 use bytecache_telemetry::{Event, EventKind, Recorder};
 
-use crate::decoder::Decoder;
+use crate::decoder::{Decoder, Feedback};
 use crate::encoder::Encoder;
 use crate::migrate::{DecoderState, MigrateError};
 use crate::policy::PacketMeta;
-use crate::sharded::{ShardFeedback, ShardedDecoder, ShardedEncoder};
 use crate::stats::{DecoderStats, EncoderStats};
 use crate::store::FlowState;
 
@@ -53,7 +51,7 @@ pub const CONTROL_PORT: u16 = 7777;
 pub const CONTROL_MSG_MAGIC: u8 = 0xBD;
 
 /// Bytes per structured control message: magic u8, kind u8,
-/// shard u16 BE, value u32 BE.
+/// reserved u16 BE (0), value u32 BE.
 pub const CONTROL_MSG_LEN: usize = 8;
 
 /// Structured message kind: resync request; value = the stale cache
@@ -87,8 +85,8 @@ fn backoff_us(retries: u32) -> u64 {
     RECOVERY_TIMEOUT_US << retries.min(RECOVERY_MAX_RETRIES)
 }
 
-/// Bytes per NACK record on the control channel: shard (u16) + shim id
-/// (u32), both big-endian.
+/// Bytes per NACK record on the control channel: reserved (u16, 0) +
+/// shim id (u32), both big-endian.
 pub const NACK_RECORD_LEN: usize = 6;
 
 fn packet_meta(packet: &Packet) -> PacketMeta {
@@ -104,7 +102,7 @@ fn packet_meta(packet: &Packet) -> PacketMeta {
 /// `encode_dst` (the client side of the constrained segment), passes
 /// everything else through, and feeds reverse traffic to the policy.
 pub struct EncoderGateway {
-    encoder: ShardedEncoder,
+    encoder: Encoder,
     encode_dsts: HashSet<Ipv4Addr, FlowState>,
     control_addr: Option<Ipv4Addr>,
     nacks_received: u64,
@@ -116,7 +114,7 @@ pub struct EncoderGateway {
     /// IP id counter for synthesized repair packets.
     ip_id: u16,
     /// Gateway-level events (malformed control payloads); disabled by
-    /// default like the bank's recorders.
+    /// default like the encoder's recorder.
     telemetry: Recorder,
 }
 
@@ -124,22 +122,14 @@ impl EncoderGateway {
     /// New encoder gateway compressing traffic addressed to `encode_dst`.
     #[must_use]
     pub fn new(encoder: Encoder, encode_dst: Ipv4Addr) -> Self {
-        Self::sharded(ShardedEncoder::from_encoder(encoder), [encode_dst])
+        Self::for_destinations(encoder, [encode_dst])
     }
 
     /// Compress traffic addressed to any of `dsts` (multi-client
     /// deployments; the cache and fingerprint table are shared across
-    /// the flows of a shard, so repeated content is eliminated *between*
-    /// flows too).
+    /// the flows, so repeated content is eliminated *between* flows too).
     #[must_use]
     pub fn for_destinations(encoder: Encoder, dsts: impl IntoIterator<Item = Ipv4Addr>) -> Self {
-        Self::sharded(ShardedEncoder::from_encoder(encoder), dsts)
-    }
-
-    /// New gateway around a sharded encoder bank: flows are partitioned
-    /// across the bank's shards, each with its own cache and policy.
-    #[must_use]
-    pub fn sharded(encoder: ShardedEncoder, dsts: impl IntoIterator<Item = Ipv4Addr>) -> Self {
         EncoderGateway {
             encoder,
             encode_dsts: dsts.into_iter().collect(),
@@ -152,9 +142,9 @@ impl EncoderGateway {
         }
     }
 
-    /// Emit generation-stamped (version-2) shim headers on every shard
-    /// (builder style). Required for the divergence-recovery protocol;
-    /// off by default so the version-1 wire stays the live baseline.
+    /// Emit generation-stamped (version-2) shim headers (builder style).
+    /// Required for the divergence-recovery protocol; off by default so
+    /// the version-1 wire stays the live baseline.
     #[must_use]
     pub fn with_wire_gen(mut self, enabled: bool) -> Self {
         self.encoder.set_wire_gen(enabled);
@@ -170,31 +160,15 @@ impl EncoderGateway {
     }
 
     /// Borrow the wrapped encoder (stats, cache inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the gateway runs more than one shard — inspect
-    /// individual shards via [`sharded_encoder`](Self::sharded_encoder).
     #[must_use]
     pub fn encoder(&self) -> &Encoder {
-        assert_eq!(
-            self.encoder.shard_count(),
-            1,
-            "encoder(): gateway has multiple shards; use sharded_encoder()"
-        );
-        self.encoder.shard(0)
-    }
-
-    /// Borrow the engine bank.
-    #[must_use]
-    pub fn sharded_encoder(&self) -> &ShardedEncoder {
         &self.encoder
     }
 
-    /// Encoder counters merged across shards.
+    /// A copy of the encoder's counters.
     #[must_use]
     pub fn stats(&self) -> EncoderStats {
-        self.encoder.stats()
+        self.encoder.stats().clone()
     }
 
     /// NACK control packets processed.
@@ -203,8 +177,9 @@ impl EncoderGateway {
         self.nacks_received
     }
 
-    /// Control payloads rejected or truncated (see
-    /// [`handle_control`](Self::handle_control)'s framing rules).
+    /// Control payloads rejected or truncated: a structured message of
+    /// the wrong length or an unknown kind, or NACK records with a
+    /// truncated tail.
     #[must_use]
     pub fn nacks_malformed(&self) -> u64 {
         self.nacks_malformed
@@ -216,14 +191,14 @@ impl EncoderGateway {
         self.repairs_sent
     }
 
-    /// Enable or disable telemetry on the whole encoder bank and the
-    /// gateway's own recorder.
+    /// Enable or disable telemetry on the encoder and the gateway's own
+    /// recorder.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
         self.encoder.set_telemetry_enabled(enabled);
         self.telemetry.set_enabled(enabled);
     }
 
-    /// Merged telemetry snapshot: the bank's per-shard snapshots plus
+    /// Merged telemetry snapshot: the encoder's snapshot plus
     /// gateway-level counters and events.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> bytecache_telemetry::Recorder {
@@ -237,14 +212,23 @@ impl EncoderGateway {
         merged
     }
 
-    /// Parse one control payload. NACK payloads are a sequence of
-    /// complete 6-byte records; a truncated trailing record marks the
-    /// payload malformed (counted + telemetry event) while the complete
-    /// records before it are still honored — better a few extra dead
-    /// entries than ignoring real loss reports. Structured messages
-    /// (first byte [`CONTROL_MSG_MAGIC`]) must be exactly
-    /// [`CONTROL_MSG_LEN`] bytes; a recovery request may synthesize a
-    /// repair packet, which the caller forwards toward the decoder.
+    /// Parse one control payload. The framing rules:
+    ///
+    /// * A payload whose first byte is [`CONTROL_MSG_MAGIC`] is a
+    ///   structured message. One that is not exactly
+    ///   [`CONTROL_MSG_LEN`] bytes long, or whose kind byte is neither
+    ///   resync nor recover, counts one malformed payload and does
+    ///   nothing else.
+    /// * Any other payload is a sequence of 6-byte NACK records. One
+    ///   that holds at least one whole record counts one NACK received.
+    ///   A truncated trailing record counts one malformed payload,
+    ///   while the whole records before it are still honored — better a
+    ///   few extra dead entries than ignoring real loss reports.
+    /// * A record or message whose reserved field is nonzero is ignored
+    ///   and is not counted malformed.
+    ///
+    /// A recovery request may synthesize a repair packet, which the
+    /// caller forwards toward the decoder.
     fn handle_control(&mut self, packet: &Packet) -> Option<Packet> {
         let payload = &packet.payload;
         if payload.first() == Some(&CONTROL_MSG_MAGIC) {
@@ -252,14 +236,15 @@ impl EncoderGateway {
                 self.note_malformed(payload.len(), payload.len());
                 return None;
             }
-            let shard = usize::from(u16::from_be_bytes([payload[2], payload[3]]));
+            let reserved = u16::from_be_bytes([payload[2], payload[3]]);
             let value = u32::from_be_bytes([payload[4], payload[5], payload[6], payload[7]]);
             return match payload[1] {
+                MSG_RESYNC | MSG_RECOVER if reserved != 0 => None,
                 MSG_RESYNC => {
-                    self.encoder.resync(shard, value);
+                    self.encoder.resync(value);
                     None
                 }
-                MSG_RECOVER => self.build_repair_packet(shard, value),
+                MSG_RECOVER => self.build_repair_packet(value),
                 _ => {
                     self.note_malformed(payload.len(), payload.len());
                     None
@@ -274,9 +259,10 @@ impl EncoderGateway {
             self.nacks_received += 1;
         }
         for record in payload.chunks_exact(NACK_RECORD_LEN) {
-            let shard = u16::from_be_bytes([record[0], record[1]]);
-            let id = u32::from_be_bytes([record[2], record[3], record[4], record[5]]);
-            self.encoder.handle_nack(usize::from(shard), &[id]);
+            if record[..2] == [0, 0] {
+                let id = u32::from_be_bytes([record[2], record[3], record[4], record[5]]);
+                self.encoder.handle_nack(&[id]);
+            }
         }
         None
     }
@@ -287,13 +273,13 @@ impl EncoderGateway {
             .event(Event::new(EventKind::ControlMalformed).details(len as u64, rejected as u64));
     }
 
-    /// Answer a recovery request: have the shard re-emit the entry as a
-    /// raw shim under its original id, and wrap it in a TCP packet that
-    /// retraces the original data path (same flow tuple, same sequence
-    /// number — the client's reassembly dedups it if the original data
-    /// already arrived another way).
-    fn build_repair_packet(&mut self, shard: usize, id: u32) -> Option<Packet> {
-        let (flow, seq, wire) = self.encoder.repair(shard, id)?;
+    /// Answer a recovery request: have the encoder re-emit the entry as
+    /// a raw shim under its original id, and wrap it in a TCP packet
+    /// that retraces the original data path (same flow tuple, same
+    /// sequence number — the client's reassembly dedups it if the
+    /// original data already arrived another way).
+    fn build_repair_packet(&mut self, id: u32) -> Option<Packet> {
+        let (flow, seq, wire) = self.encoder.repair(id)?;
         self.repairs_sent += 1;
         self.ip_id = self.ip_id.wrapping_add(1);
         Some(
@@ -317,66 +303,43 @@ impl EncoderGateway {
         self.encode_dsts.contains(&packet.ip.dst) && packet.has_payload()
     }
 
-    fn encode_packet(&mut self, packet: &Packet) -> Packet {
-        let meta = packet_meta(packet);
-        // Freeze the encoder's output buffer into a shared handle
-        // (O(1)); the same allocation rides the channel, the decoder,
-        // and any retransmit queue untouched.
-        let outcome = self.encoder.encode(&meta, &packet.payload);
-        packet.with_payload(outcome.wire)
+    /// Handle one arriving packet and return what the gateway sends on.
+    /// A control packet is consumed, answered at most by a repair
+    /// packet. A data packet toward a served destination leaves encoded.
+    /// Anything else passes through untouched, and reverse traffic from
+    /// a served destination is shown to the policy first.
+    fn receive(&mut self, packet: Packet) -> Option<Packet> {
+        if self.is_control(&packet) {
+            return self.handle_control(&packet);
+        }
+        if self.should_encode(&packet) {
+            // The encoder's output buffer becomes the packet's shared
+            // payload handle; the same allocation rides the channel, the
+            // decoder, and any retransmit queue untouched.
+            let outcome = self.encoder.encode(&packet_meta(&packet), &packet.payload);
+            return Some(packet.with_payload(outcome.wire));
+        }
+        if self.encode_dsts.contains(&packet.ip.src) {
+            self.encoder.observe_reverse(&packet);
+        }
+        Some(packet)
     }
 
-    /// Process a trace-level batch outside the event loop: data packets
-    /// are encoded with the shards running concurrently, control and
-    /// reverse traffic is handled exactly as in [`Node::on_packet`], and
-    /// the resulting packets come back in input order (control packets
-    /// are consumed).
+    /// Process a trace-level batch outside the event loop: each packet
+    /// in input order, exactly as [`Node::on_packet`] would, returning
+    /// what the gateway sends on in the same order.
     pub fn process_batch(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
-        // Partition: indices to encode vs. pass through / consume.
-        let mut encode_items = Vec::new();
-        let mut encode_slots = Vec::new();
-        let mut out: Vec<Option<Packet>> = Vec::with_capacity(packets.len());
-        for packet in packets {
-            if self.is_control(&packet) {
-                let repair = self.handle_control(&packet);
-                out.push(repair);
-            } else if self.should_encode(&packet) {
-                encode_items.push((packet_meta(&packet), packet.payload.clone()));
-                encode_slots.push((out.len(), packet));
-                out.push(None);
-            } else {
-                if self.encode_dsts.contains(&packet.ip.src) {
-                    self.encoder.observe_reverse(&packet);
-                }
-                out.push(Some(packet));
-            }
-        }
-        let outcomes = self.encoder.encode_batch(&encode_items);
-        for ((slot, packet), outcome) in encode_slots.into_iter().zip(outcomes) {
-            out[slot] = Some(packet.with_payload(outcome.wire));
-        }
-        out.into_iter().flatten().collect()
+        packets
+            .into_iter()
+            .filter_map(|packet| self.receive(packet))
+            .collect()
     }
 }
 
 impl Node for EncoderGateway {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        if self.is_control(&packet) {
-            if let Some(repair) = self.handle_control(&packet) {
-                ctx.forward(repair);
-            }
-            return; // consumed
-        }
-        if self.should_encode(&packet) {
-            let encoded = self.encode_packet(&packet);
-            ctx.forward(encoded);
-        } else {
-            // Reverse direction (or control-plane) traffic: observe and
-            // pass through untouched.
-            if self.encode_dsts.contains(&packet.ip.src) {
-                self.encoder.observe_reverse(&packet);
-            }
-            ctx.forward(packet);
+        if let Some(out) = self.receive(packet) {
+            ctx.forward(out);
         }
     }
 }
@@ -385,7 +348,6 @@ impl core::fmt::Debug for EncoderGateway {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("EncoderGateway")
             .field("encode_dsts", &self.encode_dsts)
-            .field("shards", &self.encoder.shard_count())
             .field("encoder", &self.encoder)
             .finish_non_exhaustive()
     }
@@ -396,7 +358,7 @@ impl core::fmt::Debug for EncoderGateway {
 /// Optionally reports lost/undecodable shim ids back to the encoder
 /// gateway (informed marking, after Lumezanu et al.).
 pub struct DecoderGateway {
-    decoder: ShardedDecoder,
+    decoder: Decoder,
     decode_dsts: HashSet<Ipv4Addr, FlowState>,
     /// Where to send NACKs, if informed marking is on.
     nack_target: Option<(Ipv4Addr, u16)>,
@@ -410,8 +372,8 @@ pub struct DecoderGateway {
     /// Outstanding per-entry repair requests, bounded per flow and
     /// globally; `Vec` (not a map) so retry order is deterministic.
     pending_repairs: Vec<PendingRepair>,
-    /// Outstanding resync requests, at most one per shard.
-    pending_resyncs: Vec<PendingResync>,
+    /// The outstanding resync request, if any.
+    pending_resync: Option<PendingResync>,
     recovery_requests: u64,
     resyncs_sent: u64,
     recovery_retries: u64,
@@ -433,7 +395,6 @@ pub struct DecoderGateway {
 /// One outstanding per-entry recovery request.
 #[derive(Debug, Clone, Copy)]
 struct PendingRepair {
-    shard: u16,
     id: u32,
     flow: FlowId,
     retries: u32,
@@ -444,7 +405,6 @@ struct PendingRepair {
 /// One outstanding post-wipe resync request.
 #[derive(Debug, Clone, Copy)]
 struct PendingResync {
-    shard: u16,
     gen: u32,
     retries: u32,
     next_at_us: u64,
@@ -456,11 +416,7 @@ impl DecoderGateway {
     /// the source of control packets).
     #[must_use]
     pub fn new(decoder: Decoder, decode_dst: Ipv4Addr, local_addr: Ipv4Addr) -> Self {
-        Self::sharded(
-            ShardedDecoder::from_decoder(decoder),
-            [decode_dst],
-            local_addr,
-        )
+        Self::for_destinations(decoder, [decode_dst], local_addr)
     }
 
     /// Reconstruct traffic addressed to any of `dsts` (the reciprocal of
@@ -468,18 +424,6 @@ impl DecoderGateway {
     #[must_use]
     pub fn for_destinations(
         decoder: Decoder,
-        dsts: impl IntoIterator<Item = Ipv4Addr>,
-        local_addr: Ipv4Addr,
-    ) -> Self {
-        Self::sharded(ShardedDecoder::from_decoder(decoder), dsts, local_addr)
-    }
-
-    /// New gateway around a sharded decoder bank (the reciprocal of
-    /// [`EncoderGateway::sharded`]; both ends must configure the same
-    /// shard count).
-    #[must_use]
-    pub fn sharded(
-        decoder: ShardedDecoder,
         dsts: impl IntoIterator<Item = Ipv4Addr>,
         local_addr: Ipv4Addr,
     ) -> Self {
@@ -493,7 +437,7 @@ impl DecoderGateway {
             ip_id: 0,
             recovery: false,
             pending_repairs: Vec::new(),
-            pending_resyncs: Vec::new(),
+            pending_resync: None,
             recovery_requests: 0,
             resyncs_sent: 0,
             recovery_retries: 0,
@@ -519,7 +463,7 @@ impl DecoderGateway {
     /// Enable divergence recovery: on a shim that fails against a
     /// diverged cache entry, request a raw re-emission over the control
     /// channel (bounded per flow, retried with exponential backoff,
-    /// abandoned after [`RECOVERY_MAX_RETRIES`] tries); after a cache
+    /// abandoned after a bounded number of tries); after a cache
     /// wipe, request a generation resync instead of NACK-storming.
     /// Requires [`with_nacks`](Self::with_nacks) (the control channel)
     /// and an encoder gateway running generation-stamped headers.
@@ -542,13 +486,13 @@ impl DecoderGateway {
         self
     }
 
-    /// Simulated decoder restart: wipe every shard's cache and all
+    /// Simulated decoder restart: wipe the cache and all
     /// synchronization state, and drop any outstanding repair requests
     /// (their entries died with the cache; the resync supersedes them).
     pub fn wipe_cache(&mut self) {
         self.decoder.wipe();
         self.pending_repairs.clear();
-        self.pending_resyncs.clear();
+        self.pending_resync = None;
     }
 
     /// Attach or detach this gateway from its client (the mobility
@@ -576,7 +520,7 @@ impl DecoderGateway {
         } else {
             self.detaches += 1;
             self.pending_repairs.clear();
-            self.pending_resyncs.clear();
+            self.pending_resync = None;
         }
         self.telemetry
             .event(Event::new(EventKind::Handoff).details(u64::from(attached), tag));
@@ -591,18 +535,9 @@ impl DecoderGateway {
     /// Snapshot the decoder's cache and synchronization state for a
     /// handoff migration (see [`Decoder::export_state`]). `max_bytes`
     /// bounds the serialized size; oldest entries are shed first.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the gateway runs more than one shard.
     #[must_use]
     pub fn export_decoder_state(&self, max_bytes: Option<usize>) -> DecoderState {
-        assert_eq!(
-            self.decoder.shard_count(),
-            1,
-            "export_decoder_state: gateway has multiple shards"
-        );
-        self.decoder.shard(0).export_state(max_bytes)
+        self.decoder.export_state(max_bytes)
     }
 
     /// Warm-start this gateway's decoder from an exported snapshot (the
@@ -611,27 +546,18 @@ impl DecoderGateway {
     /// are dropped — the imported synchronization state supersedes them
     /// — and the transfer size plus carried-over generation are counted
     /// and recorded as a telemetry [`EventKind::CacheMigrate`] event.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the gateway runs more than one shard.
     pub fn import_decoder_state(&mut self, state: DecoderState) {
-        assert_eq!(
-            self.decoder.shard_count(),
-            1,
-            "import_decoder_state: gateway has multiple shards"
-        );
         let bytes = state.wire_len() as u64;
         let carry = state.sync_gen;
         self.migrations += 1;
         self.migration_bytes += bytes;
         self.last_carry_gen = carry;
         self.pending_repairs.clear();
-        self.pending_resyncs.clear();
+        self.pending_resync = None;
         self.telemetry.event(
             Event::new(EventKind::CacheMigrate).details(bytes, carry.map_or(u64::MAX, u64::from)),
         );
-        self.decoder.shard_mut(0).import_state(state);
+        self.decoder.import_state(state);
     }
 
     /// Warm-start this gateway's decoder from a serialized snapshot —
@@ -645,10 +571,6 @@ impl DecoderGateway {
     ///
     /// Returns the parse failure (see [`DecoderState::from_bytes`]); on
     /// any error `self` is unmodified.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the gateway runs more than one shard.
     pub fn import_decoder_blob(&mut self, buf: &[u8]) -> Result<(), MigrateError> {
         let state = DecoderState::from_bytes(buf)?;
         self.import_decoder_state(state);
@@ -656,31 +578,15 @@ impl DecoderGateway {
     }
 
     /// Borrow the wrapped decoder (stats, cache inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the gateway runs more than one shard — inspect
-    /// individual shards via [`sharded_decoder`](Self::sharded_decoder).
     #[must_use]
     pub fn decoder(&self) -> &Decoder {
-        assert_eq!(
-            self.decoder.shard_count(),
-            1,
-            "decoder(): gateway has multiple shards; use sharded_decoder()"
-        );
-        self.decoder.shard(0)
-    }
-
-    /// Borrow the engine bank.
-    #[must_use]
-    pub fn sharded_decoder(&self) -> &ShardedDecoder {
         &self.decoder
     }
 
-    /// Decoder counters merged across shards.
+    /// A copy of the decoder's counters.
     #[must_use]
     pub fn stats(&self) -> DecoderStats {
-        self.decoder.stats()
+        self.decoder.stats().clone()
     }
 
     /// Packets dropped because they could not be reconstructed.
@@ -750,14 +656,14 @@ impl DecoderGateway {
         self.recovery_abandoned
     }
 
-    /// Enable or disable telemetry on the whole decoder bank and the
-    /// gateway's own recorder.
+    /// Enable or disable telemetry on the decoder and the gateway's own
+    /// recorder.
     pub fn set_telemetry_enabled(&mut self, enabled: bool) {
         self.decoder.set_telemetry_enabled(enabled);
         self.telemetry.set_enabled(enabled);
     }
 
-    /// Merged telemetry snapshot: the bank's per-shard snapshots plus
+    /// Merged telemetry snapshot: the decoder's snapshot plus
     /// gateway-level counters and recovery events.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> bytecache_telemetry::Recorder {
@@ -782,12 +688,10 @@ impl DecoderGateway {
     }
 
     /// Build one structured control message packet (resync / recover).
-    fn build_control_msg(&mut self, kind: u8, shard: u16, value: u32) -> Option<Packet> {
+    fn build_control_msg(&mut self, kind: u8, value: u32) -> Option<Packet> {
         let (addr, port) = self.nack_target?;
         let mut payload = Vec::with_capacity(CONTROL_MSG_LEN);
-        payload.push(CONTROL_MSG_MAGIC);
-        payload.push(kind);
-        payload.extend_from_slice(&shard.to_be_bytes());
+        payload.extend_from_slice(&[CONTROL_MSG_MAGIC, kind, 0, 0]);
         payload.extend_from_slice(&value.to_be_bytes());
         self.ip_id = self.ip_id.wrapping_add(1);
         Some(
@@ -804,20 +708,18 @@ impl DecoderGateway {
     /// Act on the recovery-relevant parts of one decode's feedback:
     /// retire satisfied repairs, open resync/repair requests, arm retry
     /// timers.
-    fn update_recovery(&mut self, flow: FlowId, feedback: &ShardFeedback, ctx: &mut Context<'_>) {
+    fn update_recovery(&mut self, flow: FlowId, feedback: &Feedback, ctx: &mut Context<'_>) {
         if !self.recovery {
             return;
         }
         let now_us = ctx.now().as_micros();
-        let shard = feedback.shard;
         if let Some(id) = feedback.decoded_id {
-            self.pending_repairs
-                .retain(|p| p.shard != shard || p.id != id);
+            self.pending_repairs.retain(|p| p.id != id);
         }
         match feedback.resync_gen {
             Some(gen) => {
-                if !self.pending_resyncs.iter().any(|r| r.shard == shard) {
-                    if let Some(msg) = self.build_control_msg(MSG_RESYNC, shard, gen) {
+                if self.pending_resync.is_none() {
+                    if let Some(msg) = self.build_control_msg(MSG_RESYNC, gen) {
                         ctx.forward(msg);
                         self.resyncs_sent += 1;
                         self.telemetry.event(
@@ -825,8 +727,7 @@ impl DecoderGateway {
                                 .at_us(now_us)
                                 .details(u64::from(gen), 0),
                         );
-                        self.pending_resyncs.push(PendingResync {
-                            shard,
+                        self.pending_resync = Some(PendingResync {
                             gen,
                             retries: 0,
                             next_at_us: now_us + RECOVERY_TIMEOUT_US,
@@ -839,19 +740,15 @@ impl DecoderGateway {
                 }
             }
             None => {
-                // This shard no longer asks for a resync: if it also
-                // reports converged, retire its pending request.
-                let converged = !self.decoder.needs_resync(usize::from(shard));
-                if converged {
-                    self.pending_resyncs.retain(|r| r.shard != shard);
+                // The decoder no longer asks for a resync: if it also
+                // reports converged, retire the pending request.
+                if !self.decoder.needs_resync() {
+                    self.pending_resync = None;
                 }
             }
         }
         if let Some(id) = feedback.failed_id {
-            let exists = self
-                .pending_repairs
-                .iter()
-                .any(|p| p.shard == shard && p.id == id);
+            let exists = self.pending_repairs.iter().any(|p| p.id == id);
             let flow_load = self
                 .pending_repairs
                 .iter()
@@ -861,7 +758,7 @@ impl DecoderGateway {
                 && flow_load < RECOVERY_MAX_PER_FLOW
                 && self.pending_repairs.len() < RECOVERY_MAX_PENDING
             {
-                if let Some(msg) = self.build_control_msg(MSG_RECOVER, shard, id) {
+                if let Some(msg) = self.build_control_msg(MSG_RECOVER, id) {
                     ctx.forward(msg);
                     self.recovery_requests += 1;
                     self.telemetry.event(
@@ -871,7 +768,6 @@ impl DecoderGateway {
                             .details(u64::from(id), 0),
                     );
                     self.pending_repairs.push(PendingRepair {
-                        shard,
                         id,
                         flow,
                         retries: 0,
@@ -886,14 +782,14 @@ impl DecoderGateway {
         }
     }
 
-    fn build_feedback_packet(&mut self, feedback: &ShardFeedback) -> Option<Packet> {
+    fn build_feedback_packet(&mut self, feedback: &Feedback) -> Option<Packet> {
         let (addr, port) = self.nack_target?;
         if feedback.nack_ids.is_empty() {
             return None;
         }
         let mut payload = Vec::with_capacity(feedback.nack_ids.len() * NACK_RECORD_LEN);
         for id in &feedback.nack_ids {
-            payload.extend_from_slice(&feedback.shard.to_be_bytes());
+            payload.extend_from_slice(&[0, 0]);
             payload.extend_from_slice(&id.to_be_bytes());
         }
         self.ip_id = self.ip_id.wrapping_add(1);
@@ -912,60 +808,77 @@ impl DecoderGateway {
         self.decode_enabled && self.decode_dsts.contains(&packet.ip.dst) && packet.has_payload()
     }
 
-    /// Process a trace-level batch outside the event loop: decodable
-    /// packets run through the shards concurrently; reconstructed
-    /// packets and any NACK control packets come back in order, with
-    /// undecodable packets dropped (counted in
-    /// [`dropped`](Self::dropped)).
-    pub fn process_batch(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
-        let mut decode_items = Vec::new();
-        let mut decode_slots = Vec::new();
-        let mut out: Vec<Vec<Packet>> = Vec::with_capacity(packets.len());
-        for packet in packets {
-            if self.should_decode(&packet) {
-                decode_items.push((packet_meta(&packet), packet.payload.clone()));
-                decode_slots.push((out.len(), packet));
-                out.push(Vec::new());
-            } else {
-                out.push(vec![packet]);
-            }
+    /// Handle one arriving packet. A packet that is not ours to decode
+    /// passes through untouched. Otherwise the decoder runs; an
+    /// undecodable packet is dropped (counted in
+    /// [`dropped`](Self::dropped)) and upstream TCP will retransmit it.
+    fn receive(&mut self, packet: Packet) -> Received {
+        if !self.should_decode(&packet) {
+            return Received {
+                nack: None,
+                feedback: None,
+                out: Some(packet),
+            };
         }
-        let results = self.decoder.decode_batch(&decode_items);
-        for ((slot, packet), (result, feedback)) in decode_slots.into_iter().zip(results) {
-            let mut produced = Vec::new();
-            if let Some(nack) = self.build_feedback_packet(&feedback) {
-                produced.push(nack);
+        let meta = packet_meta(&packet);
+        // Zero-copy: raw bodies and literal regions come back as slices
+        // of the arriving packet's buffer.
+        let (result, feedback) = self.decoder.decode_shared(&packet.payload, &meta);
+        let nack = self.build_feedback_packet(&feedback);
+        let out = match result {
+            Ok(original) => Some(packet.with_payload(original)),
+            Err(_) => {
+                self.dropped += 1;
+                None
             }
-            match result {
-                Ok(original) => produced.push(packet.with_payload(original)),
-                Err(_) => self.dropped += 1,
-            }
-            out[slot] = produced;
+        };
+        Received {
+            nack,
+            feedback: Some((meta.flow, feedback)),
+            out,
         }
-        out.into_iter().flatten().collect()
     }
+
+    /// Process a trace-level batch outside the event loop: each packet
+    /// in input order, exactly as [`Node::on_packet`] would, except that
+    /// the recovery protocol does not run. What the gateway sends on
+    /// comes back in order, each NACK control packet just before the
+    /// packet whose decode produced it.
+    pub fn process_batch(&mut self, packets: Vec<Packet>) -> Vec<Packet> {
+        let mut sent = Vec::with_capacity(packets.len());
+        for packet in packets {
+            let received = self.receive(packet);
+            sent.extend(received.nack);
+            sent.extend(received.out);
+        }
+        sent
+    }
+}
+
+/// What [`DecoderGateway::receive`] made of one packet, in the order
+/// it is sent on: the NACK first, then whatever the recovery protocol
+/// does with the feedback, then the packet itself.
+struct Received {
+    /// NACK control packet for the encoder gateway (informed marking).
+    nack: Option<Packet>,
+    /// The decoded packet's flow and the decoder's feedback; `None`
+    /// when the packet was not decoded.
+    feedback: Option<(FlowId, Feedback)>,
+    /// The reconstructed or passed-through packet; `None` when dropped.
+    out: Option<Packet>,
 }
 
 impl Node for DecoderGateway {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        if self.should_decode(&packet) {
-            let meta = packet_meta(&packet);
-            // Zero-copy: raw bodies and literal regions come back as
-            // slices of the arriving packet's buffer.
-            let (result, feedback) = self.decoder.decode_shared(&packet.payload, &meta);
-            if let Some(nack) = self.build_feedback_packet(&feedback) {
-                ctx.forward(nack);
-            }
-            self.update_recovery(meta.flow, &feedback, ctx);
-            match result {
-                Ok(original) => ctx.forward(packet.with_payload(original)),
-                Err(_) => {
-                    // Undecodable: drop. Upstream TCP will retransmit.
-                    self.dropped += 1;
-                }
-            }
-        } else {
-            ctx.forward(packet);
+        let received = self.receive(packet);
+        if let Some(nack) = received.nack {
+            ctx.forward(nack);
+        }
+        if let Some((flow, feedback)) = &received.feedback {
+            self.update_recovery(*flow, feedback, ctx);
+        }
+        if let Some(out) = received.out {
+            ctx.forward(out);
         }
     }
 
@@ -977,32 +890,32 @@ impl Node for DecoderGateway {
         // Resync retries: keep asking (capped backoff, never abandoned)
         // until the decoder observes the generation bump — nothing else
         // can re-converge a wiped decoder under an encoding policy.
-        let mut resyncs = std::mem::take(&mut self.pending_resyncs);
-        resyncs.retain(|r| self.decoder.needs_resync(usize::from(r.shard)));
-        for r in &mut resyncs {
-            if now_us < r.next_at_us {
-                continue;
-            }
-            r.retries += 1;
-            self.recovery_retries += 1;
-            let delay = backoff_us(r.retries);
-            r.next_at_us = now_us + delay;
-            if let Some(msg) = self.build_control_msg(MSG_RESYNC, r.shard, r.gen) {
-                ctx.forward(msg);
-            }
-            self.telemetry.event(
-                Event::new(EventKind::Resync)
-                    .at_us(now_us)
-                    .details(u64::from(r.gen), 0),
-            );
-            ctx.set_timer(SimDuration::from_micros(delay), RECOVERY_TIMER_TOKEN);
+        if !self.decoder.needs_resync() {
+            self.pending_resync = None;
         }
-        self.pending_resyncs = resyncs;
+        if let Some(mut r) = self.pending_resync.take() {
+            if now_us >= r.next_at_us {
+                r.retries += 1;
+                self.recovery_retries += 1;
+                let delay = backoff_us(r.retries);
+                r.next_at_us = now_us + delay;
+                if let Some(msg) = self.build_control_msg(MSG_RESYNC, r.gen) {
+                    ctx.forward(msg);
+                }
+                self.telemetry.event(
+                    Event::new(EventKind::Resync)
+                        .at_us(now_us)
+                        .details(u64::from(r.gen), 0),
+                );
+                ctx.set_timer(SimDuration::from_micros(delay), RECOVERY_TIMER_TOKEN);
+            }
+            self.pending_resync = Some(r);
+        }
         // Repair retries: exponential backoff, abandoned after the cap
         // (the entry may be gone at the encoder too; TCP's own
         // retransmission is the correctness backstop).
         let mut repairs = std::mem::take(&mut self.pending_repairs);
-        let mut resend: Vec<(u16, u32, u64)> = Vec::new();
+        let mut resend: Vec<(u32, u64)> = Vec::new();
         repairs.retain_mut(|p| {
             if now_us < p.next_at_us {
                 return true;
@@ -1014,13 +927,13 @@ impl Node for DecoderGateway {
             p.retries += 1;
             let delay = backoff_us(p.retries);
             p.next_at_us = now_us + delay;
-            resend.push((p.shard, p.id, delay));
+            resend.push((p.id, delay));
             true
         });
         self.pending_repairs = repairs;
-        for (shard, id, delay) in resend {
+        for (id, delay) in resend {
             self.recovery_retries += 1;
-            if let Some(msg) = self.build_control_msg(MSG_RECOVER, shard, id) {
+            if let Some(msg) = self.build_control_msg(MSG_RECOVER, id) {
                 ctx.forward(msg);
             }
             self.telemetry.event(
@@ -1037,7 +950,6 @@ impl core::fmt::Debug for DecoderGateway {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DecoderGateway")
             .field("decode_dsts", &self.decode_dsts)
-            .field("shards", &self.decoder.shard_count())
             .field("dropped", &self.dropped)
             .field("decoder", &self.decoder)
             .finish_non_exhaustive()

@@ -33,19 +33,14 @@
 //!   FIFO eviction. Packets live in generational slots, so stale index
 //!   entries are detected by a generation check instead of a hash-map
 //!   lookup per fingerprint.
-//! * [`ShardedEncoder`] / [`ShardedDecoder`] — flow-partitioned engine
-//!   banks: `DreConfig::shards` independent engines, each owning its
-//!   cache, policy state, id space, and epoch. Batch entry points drive
-//!   the shards on concurrent scoped threads; `shards = 1` is
-//!   byte-identical to the plain engine.
 //! * [`policy`] — pluggable encoding policies: the unsafe [`policy::Naive`]
 //!   baseline, the paper's three fixes ([`policy::CacheFlush`],
 //!   [`policy::TcpSeq`], [`policy::KDistance`]), and the extensions it
 //!   sketches ([`policy::AckGated`], [`policy::Adaptive`], and informed
 //!   marking via decoder NACKs).
 //! * [`gateway`] — drop-in middlebox nodes for the
-//!   [`bytecache-netsim`](bytecache_netsim) simulator, wrapping the
-//!   sharded banks and merging per-shard statistics.
+//!   [`bytecache-netsim`](bytecache_netsim) simulator, each owning one
+//!   encoder or one decoder whose cache every flow through it shares.
 //!
 //! # Quick start
 //!
@@ -94,7 +89,6 @@ mod encoder;
 mod engine;
 #[cfg(test)]
 mod reference;
-mod sharded;
 mod stats;
 mod store;
 
@@ -103,6 +97,5 @@ pub use decoder::{DecodeError, Decoder, Feedback};
 pub use encoder::{EncodeInfo, EncodeOutcome, Encoder};
 pub use migrate::{DecoderState, MigrateError, MigratedEntry};
 pub use policy::{PacketMeta, Policy, PolicyKind};
-pub use sharded::{shard_for, ShardFeedback, ShardedDecoder, ShardedEncoder};
 pub use stats::{DecoderStats, EncoderStats};
 pub use store::{Cache, CacheStats, EntryMeta, IndexOutcome, PacketId, Stored};

@@ -21,10 +21,6 @@ use crate::store::{EntryMeta, FlowState, PacketId};
 /// acknowledgment packets delays (never corrupts) eligibility, and the
 /// scheme cannot start compressing until the first ACKs flow back —
 /// roughly one RTT of lost opportunity per window.
-///
-/// A [`ShardedEncoder`](crate::ShardedEncoder) routes each reverse
-/// packet to the shard of the data-direction flow it acknowledges, so
-/// per-shard instances each see exactly the ACKs for their own flows.
 #[derive(Debug, Default)]
 pub struct AckGated {
     /// Highest cumulative ACK seen, keyed by the *data-direction* flow.

@@ -21,9 +21,8 @@ use crate::store::{EntryMeta, FlowState, PacketId};
 /// on clean channels, short chains on lossy ones (§VII shows chains
 /// longer than `1/p` are counterproductive).
 ///
-/// Sharding narrows the estimator's view to the shard's own flows: each
-/// shard of a [`ShardedEncoder`](crate::ShardedEncoder) adapts `k` to
-/// the loss its flows actually experience rather than a global average.
+/// The estimate covers every flow through the encoder, so `k` follows
+/// the loss the gateway's whole traffic mix experiences.
 #[derive(Debug)]
 pub struct Adaptive {
     /// EWMA of the retransmission fraction.

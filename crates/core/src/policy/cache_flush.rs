@@ -20,10 +20,8 @@ use crate::store::{EntryMeta, FlowState, PacketId};
 /// *perceived* loss rate low, which matters more than compression ratio
 /// once TCP's recovery machinery is in the loop.
 ///
-/// Under a [`ShardedEncoder`](crate::ShardedEncoder) each shard runs its
-/// own instance, so a retransmission flushes only the cache of the shard
-/// whose flows it affects — the collateral damage of the flush is
-/// confined to 1/N of the traffic.
+/// The cache is shared by every flow through the encoder, so a
+/// retransmission in one flow flushes the history of all of them.
 #[derive(Debug, Default)]
 pub struct CacheFlush {
     highest_seq: HashMap<FlowId, SeqNum, FlowState>,

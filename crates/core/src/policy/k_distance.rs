@@ -23,10 +23,8 @@ pub const DEFAULT_MAX_TRACKED_FLOWS: usize = 65_536;
 /// The paper finds k ≈ 8 a reasonable byte-savings/delay trade-off
 /// (Figure 12, Table II).
 ///
-/// Reference spacing is tracked per flow, and flows never migrate
-/// between shards of a [`ShardedEncoder`](crate::ShardedEncoder), so
-/// each shard's instance sees every packet of its flows — the k-spacing
-/// guarantee is unaffected by sharding.
+/// Reference spacing is tracked per flow, so flows sharing one encoder
+/// keep independent k-spacing.
 #[derive(Debug, Clone)]
 pub struct KDistance {
     k: u64,

@@ -70,12 +70,13 @@ pub struct PrePacket {
 /// An encoding policy. Implementations must be deterministic: the
 /// encoder's behaviour must be a pure function of the packet stream.
 ///
-/// Policies are instantiated *per engine*: a
-/// [`ShardedEncoder`](crate::ShardedEncoder) builds one instance per
-/// shard from a [`PolicyKind`], so policy state (retransmission
-/// trackers, ACK horizons, loss estimates) is always shard-local and a
-/// decision in one shard can never affect another shard's cache. The
-/// `Send` bound is what lets shards run on scoped worker threads.
+/// Policies are instantiated *per engine*: each
+/// [`Encoder`](crate::Encoder) owns one instance, built from a
+/// [`PolicyKind`], so policy state (retransmission trackers, ACK
+/// horizons, loss estimates) covers exactly the flows that engine
+/// serves. The `Send` bound keeps an [`Encoder`](crate::Encoder), and
+/// the gateway that owns one, `Send`: the benchmark's simulator builder
+/// accepts only `Send` nodes.
 pub trait Policy: fmt::Debug + Send {
     /// Short, stable name (used in reports and tables).
     fn name(&self) -> &'static str;

@@ -10,8 +10,7 @@ use crate::store::{EntryMeta, PacketId};
 /// against its own earlier (lost) transmission, creating the circular
 /// dependencies of Figure 5 and stalling the connection (Figure 6).
 /// Included as the baseline every experiment compares against — do not
-/// deploy it on a lossy path. (Sharding does not rescue it: within a
-/// shard the self-referential stall of Figure 5 is unchanged.)
+/// deploy it on a lossy path.
 #[derive(Debug, Default, Clone)]
 pub struct Naive;
 

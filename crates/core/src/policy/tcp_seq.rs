@@ -19,9 +19,7 @@ use crate::store::{EntryMeta, PacketId};
 ///
 /// Entries from *other* flows carry unrelated sequence spaces; comparing
 /// them would be meaningless, so cross-flow matches are refused (the
-/// paper evaluates a single flow and leaves this case open). Because the
-/// policy keeps no mutable state, sharding it is trivially safe — each
-/// shard's instance sees only its own flows' sequence spaces.
+/// paper evaluates a single flow and leaves this case open).
 #[derive(Debug, Default, Clone)]
 pub struct TcpSeq;
 

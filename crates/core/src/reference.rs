@@ -153,10 +153,7 @@ mod tests {
     use bytes::Bytes;
     use proptest::prelude::*;
 
-    use crate::{
-        Cache, Decoder, DreConfig, Encoder, EncoderStats, PacketMeta, PolicyKind, ShardedDecoder,
-        ShardedEncoder,
-    };
+    use crate::{Cache, Decoder, DreConfig, Encoder, EncoderStats, PacketMeta, PolicyKind};
 
     fn flow(port: u16) -> FlowId {
         FlowId {
@@ -374,39 +371,6 @@ mod tests {
             }
             prop_assert_eq!(enc.stats().index_insertions, dec.stats().index_insertions);
             prop_assert_eq!(enc.stats().flushes, dec.cache().stats().flushes);
-        }
-
-        /// A sharded bank (shards > 1) runs the same checked scan on
-        /// every shard's own state, a fresh decoder bank round-trips
-        /// every packet, and each shard's bytes are what a lone encoder
-        /// fed only that shard's flows emits.
-        #[test]
-        fn sharded_round_trip_unchanged(stream in arb_stream(), policy_idx in 0usize..5) {
-            let kind = policies()[policy_idx];
-            let config = DreConfig { shards: 3, ..DreConfig::default() };
-            let mut bank = ShardedEncoder::new(config.clone(), kind);
-            let mut lone: Vec<Encoder> = (0..3)
-                .map(|_| Encoder::new(DreConfig::default(), kind.build()))
-                .collect();
-            let mut dec = ShardedDecoder::new(config);
-            let mut seq = 1u32;
-            for (i, payload) in stream.iter().enumerate() {
-                let m = PacketMeta {
-                    flow: flow(4000 + (i % 5) as u16),
-                    seq: SeqNum::new(seq),
-                    payload_len: payload.len(),
-                    flow_index: 0,
-                };
-                seq = seq.wrapping_add(payload.len().max(1) as u32);
-                let payload = Bytes::from(payload.clone());
-                let a = bank.encode(&m, &payload);
-                let b = lone[bank.shard_of(&m.flow)].encode(&m, &payload);
-                prop_assert_eq!(&a.wire, &b.wire, "sharded wire bytes differ at packet {}", i);
-                let (restored, _) = dec.decode(&a.wire, &m);
-                prop_assert_eq!(restored.expect("lossless sharded decode"), payload);
-            }
-            let lone_out: u64 = lone.iter().map(|e| e.stats().bytes_out).sum();
-            prop_assert_eq!(bank.stats().bytes_out, lone_out);
         }
     }
 }

@@ -41,7 +41,7 @@ pub struct EncoderStats {
     /// Indexing passes skipped because the packet was no longer stored
     /// when the cache update procedure ran (e.g. a payload larger than
     /// the cache budget, evicted by its own insert). Counted instead of
-    /// panicking so one oversized packet cannot abort a shard.
+    /// panicking so one oversized packet cannot abort the encoder.
     pub index_skips: u64,
     /// Resyncs honored: the cache was flushed and the wire generation
     /// bumped because a wiped decoder asked for it.
@@ -87,9 +87,8 @@ impl EncoderStats {
         }
     }
 
-    /// Fold another shard's counters into this one. Every field is a
-    /// sum, so merging shard stats yields exactly the aggregate a single
-    /// engine would have reported over the union of the traffic.
+    /// Fold another encoder's counters into this one. Every field is a
+    /// sum, so the result is the total over both engines' traffic.
     pub fn merge(&mut self, other: &EncoderStats) {
         self.packets += other.packets;
         self.bytes_in += other.bytes_in;
@@ -168,7 +167,7 @@ impl DecoderStats {
             + self.stale_gen
     }
 
-    /// Fold another shard's counters into this one.
+    /// Fold another decoder's counters into this one.
     pub fn merge(&mut self, other: &DecoderStats) {
         self.packets += other.packets;
         self.raw += other.raw;

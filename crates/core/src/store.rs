@@ -101,12 +101,12 @@ pub struct CacheStats {
     /// Indexing passes skipped because the packet was already gone —
     /// e.g. evicted by its own insert when the payload exceeds the byte
     /// budget. Counted instead of panicking so one oversized or racing
-    /// packet cannot abort a shard.
+    /// packet cannot abort the engine.
     pub index_skips: u64,
 }
 
 impl CacheStats {
-    /// Fold another shard's counters into this one.
+    /// Fold another cache's counters into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.inserts += other.inserts;
         self.evictions += other.evictions;
@@ -874,11 +874,6 @@ impl Cache {
         self.telemetry.set_enabled(enabled);
     }
 
-    /// Tag this cache's telemetry with a shard index.
-    pub fn set_telemetry_shard(&mut self, shard: u32) {
-        self.telemetry.set_shard(shard);
-    }
-
     /// The live telemetry recorder (events recorded so far).
     #[must_use]
     pub fn telemetry(&self) -> &Recorder {
@@ -1070,7 +1065,7 @@ impl Cache {
     /// budget is evicted by its own insert, and a peer can evict a
     /// packet between store and index under divergence repair — the
     /// pass is skipped and counted (`skipped`, `CacheStats.index_skips`)
-    /// rather than aborting the shard.
+    /// rather than aborting the engine.
     fn index_target(&mut self, id: PacketId) -> Result<SlotRef, IndexOutcome> {
         let Some(index) = self.ids.get(id.0) else {
             self.stats.index_skips += 1;
@@ -1093,9 +1088,9 @@ impl Cache {
     /// sends unscanned. It rolls the payload through the same multi-lane
     /// kernel as the encoder's scan
     /// ([`Fingerprinter::scan_sampled_batched`]) and files the pairs
-    /// through the same insert loop as [`index_sampled`]
-    /// (Self::index_sampled), which the encoder feeds from its scan to
-    /// skip the re-fingerprinting.
+    /// through the same insert loop as
+    /// [`index_sampled`](Self::index_sampled), which the encoder feeds
+    /// from its scan to skip the re-fingerprinting.
     ///
     /// A packet that is no longer stored is skipped and counted, not
     /// indexed.

@@ -228,7 +228,7 @@ fn undecodable_packets_are_dropped_and_counted() {
 fn nack_control_packets_mark_encoder_entries_dead() {
     let shared: Vec<u8> = (0..1200u32).map(|i| ((i * 13) % 251) as u8).collect();
     // Sender sends the data packet AND (separately) a NACK for id 0.
-    // Control records are 6 bytes: shard u16 BE + shim id u32 BE.
+    // Control records are 6 bytes: reserved u16 BE (0) + shim id u32 BE.
     let data = data_packet(1, 1000, shared.clone());
     let mut record = 0u16.to_be_bytes().to_vec();
     record.extend_from_slice(&0u32.to_be_bytes());
@@ -518,4 +518,286 @@ fn gateways_built_from_the_same_destinations_format_identically() {
     };
     assert_eq!(format!("{:?}", encoder()), format!("{:?}", encoder()));
     assert_eq!(format!("{:?}", decoder()), format!("{:?}", decoder()));
+}
+
+/// 1200 bytes of content that no other seed's content matches.
+fn content(seed: u32) -> Vec<u8> {
+    (0..1200u32)
+        .map(|i| ((i.wrapping_mul(2_654_435_761) ^ seed.wrapping_mul(0x9E37_79B9)) >> 13) as u8)
+        .collect()
+}
+
+/// A control packet from the decoder gateway to the encoder gateway.
+fn control(payload: Vec<u8>) -> Packet {
+    Packet::builder()
+        .src(DEC_GW, CONTROL_PORT)
+        .dst(ENC_GW, CONTROL_PORT)
+        .flags(TcpFlags::PSH)
+        .payload(payload)
+        .build()
+}
+
+/// One 6-byte NACK record per id, reserved field 0.
+fn nack_payload(ids: &[u32]) -> Vec<u8> {
+    ids.iter()
+        .flat_map(|id| [[0, 0].as_slice(), &id.to_be_bytes()].concat())
+        .collect()
+}
+
+fn control_encoder() -> EncoderGateway {
+    EncoderGateway::new(
+        Encoder::new(DreConfig::default(), PolicyKind::Naive.build()),
+        CLIENT,
+    )
+    .with_control_addr(ENC_GW)
+}
+
+#[test]
+fn batches_run_in_input_order() {
+    // Id 0 caches content(0). The next batch repeats that content, then
+    // NACKs id 0, then sends fresh data, an ACK from the client and the
+    // content once more. In input order the repeat still encodes
+    // against id 0; applying the NACK first would send it raw.
+    let ack = Packet::builder()
+        .src(CLIENT, 4000)
+        .dst(SERVER, 80)
+        .ack_num(2200)
+        .flags(TcpFlags::ACK)
+        .build();
+    let first = vec![data_packet(0, 1000, content(0))];
+    let mixed = vec![
+        data_packet(1, 2200, content(0)),
+        control(nack_payload(&[0])),
+        data_packet(2, 3400, content(1)),
+        ack,
+        data_packet(3, 4600, content(0)),
+    ];
+
+    let mut batched = control_encoder();
+    let mut alone = control_encoder();
+    let mut encoded = batched.process_batch(first.clone());
+    encoded.extend(batched.process_batch(mixed.clone()));
+    let one_at_a_time: Vec<Packet> = first
+        .into_iter()
+        .chain(mixed)
+        .flat_map(|p| alone.process_batch(vec![p]))
+        .collect();
+    assert_eq!(encoded, one_at_a_time);
+    assert_eq!(batched.stats(), alone.stats());
+    assert!(
+        encoded[1].payload.len() < 600,
+        "the repeat must encode against id 0 before the NACK kills it"
+    );
+    assert!(batched.encoder().cache().is_dead(bytecache::PacketId(0)));
+
+    // The decoder side, with id 1 lost on the way: its NACK comes back
+    // just before the packet whose decode produced it.
+    let make_decoder = || {
+        DecoderGateway::new(Decoder::new(DreConfig::default()), CLIENT, DEC_GW).with_nacks(ENC_GW)
+    };
+    let arriving: Vec<Packet> = encoded
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, p)| (i != 1).then_some(p))
+        .collect();
+    let mut batched = make_decoder();
+    let mut alone = make_decoder();
+    let decoded = batched.process_batch(arriving.clone());
+    let one_at_a_time: Vec<Packet> = arriving
+        .into_iter()
+        .flat_map(|p| alone.process_batch(vec![p]))
+        .collect();
+    assert_eq!(decoded, one_at_a_time);
+    assert_eq!(batched.stats(), alone.stats());
+    assert!(batched.nacks_sent() > 0, "the lost id is reported");
+}
+
+/// What one control payload did to an encoder gateway holding ids 0..8.
+#[derive(Debug, PartialEq, Eq)]
+struct ControlEffect {
+    malformed: u64,
+    received: u64,
+    repairs: u64,
+    flushes: u64,
+    dead: Vec<bool>,
+    sent: usize,
+}
+
+const PRIMED_IDS: u32 = 8;
+
+fn effect_of(payload: &[u8]) -> ControlEffect {
+    let mut gw = control_encoder();
+    let data = (0..PRIMED_IDS)
+        .map(|i| data_packet(i as u16, 1000 + i * 1200, content(100 + i)))
+        .collect();
+    gw.process_batch(data);
+    let sent = gw.process_batch(vec![control(payload.to_vec())]).len();
+    ControlEffect {
+        malformed: gw.nacks_malformed(),
+        received: gw.nacks_received(),
+        repairs: gw.repairs_sent(),
+        flushes: gw.encoder().cache().stats().flushes,
+        dead: (0..PRIMED_IDS)
+            .map(|id| {
+                gw.encoder()
+                    .cache()
+                    .is_dead(bytecache::PacketId(u64::from(id)))
+            })
+            .collect(),
+        sent,
+    }
+}
+
+/// The framing rules of the control channel, written out independently
+/// of the gateway: what `payload` must do to a gateway holding ids
+/// 0..8, none dead, at cache generation 0.
+fn framing_rules(payload: &[u8]) -> ControlEffect {
+    let mut e = ControlEffect {
+        malformed: 0,
+        received: 0,
+        repairs: 0,
+        flushes: 0,
+        dead: vec![false; PRIMED_IDS as usize],
+        sent: 0,
+    };
+    let word = |b: &[u8]| u32::from_be_bytes([b[0], b[1], b[2], b[3]]);
+    if payload.first() == Some(&0xBD) {
+        if payload.len() != 8 || !matches!(payload[1], 1 | 2) {
+            e.malformed = 1;
+            return e;
+        }
+        let value = word(&payload[4..8]);
+        let reserved_clear = payload[2..4] == [0, 0];
+        if payload[1] == 1 && reserved_clear && value == 0 {
+            e.flushes = 1; // the flush empties the cache: nothing is dead
+        }
+        if payload[1] == 2 && reserved_clear && value < PRIMED_IDS {
+            e.repairs = 1;
+            e.sent = 1;
+            e.dead[value as usize] = true;
+        }
+        return e;
+    }
+    e.malformed = u64::from(!payload.len().is_multiple_of(6));
+    e.received = u64::from(payload.len() >= 6);
+    for record in payload.chunks_exact(6) {
+        let id = word(&record[2..6]);
+        if record[..2] == [0, 0] && id < PRIMED_IDS {
+            e.dead[id as usize] = true;
+        }
+    }
+    e
+}
+
+#[test]
+fn hostile_control_payloads_follow_the_framing_rules() {
+    let valid = [
+        nack_payload(&[1, 3, 5]),
+        vec![0xBD, 0x01, 0, 0, 0, 0, 0, 0], // resync away from generation 0
+        vec![0xBD, 0x02, 0, 0, 0, 0, 0, 3], // recover id 3
+    ];
+    for payload in &valid {
+        let mut variants: Vec<Vec<u8>> =
+            (0..=payload.len()).map(|n| payload[..n].to_vec()).collect();
+        for at in 0..payload.len() {
+            for bit in 0..8 {
+                let mut flipped = payload.clone();
+                flipped[at] ^= 1 << bit;
+                variants.push(flipped);
+            }
+        }
+        for variant in variants {
+            assert_eq!(
+                effect_of(&variant),
+                framing_rules(&variant),
+                "payload {variant:02x?}"
+            );
+        }
+    }
+    // The valid payloads themselves do what they say.
+    let nack = effect_of(&valid[0]);
+    assert_eq!(
+        nack.dead,
+        [false, true, false, true, false, true, false, false]
+    );
+    assert_eq!((nack.received, nack.malformed), (1, 0));
+    assert_eq!(effect_of(&valid[1]).flushes, 1);
+    assert_eq!(effect_of(&valid[2]).repairs, 1);
+    // A nonzero reserved field silences a record or message whole.
+    let mut fenced = valid[0].clone();
+    fenced[6] = 0x01;
+    assert_eq!(
+        effect_of(&fenced).dead,
+        [false, true, false, false, false, true, false, false]
+    );
+    for message in &valid[1..] {
+        let mut fenced = message.clone();
+        fenced[3] = 0x01;
+        let e = effect_of(&fenced);
+        assert_eq!((e.flushes, e.repairs, e.malformed), (0, 0, 0));
+        assert!(e.dead.iter().all(|d| !d));
+    }
+}
+
+#[test]
+fn decoder_gateway_control_packets_are_pinned_to_the_byte() {
+    // NACK: ids 0 and 1 (id 0 lost, id 1 referencing it), as the decoder
+    // gateway builds it in answer to an undecodable packet.
+    let shared: Vec<u8> = (0..1200u32).map(|i| (i % 251) as u8).collect();
+    let mut enc = Encoder::new(DreConfig::default(), PolicyKind::Naive.build());
+    let meta = |seq| bytecache::PacketMeta {
+        flow: data_packet(0, 0, vec![]).flow(),
+        seq: bytecache_packet::SeqNum::new(seq),
+        payload_len: shared.len(),
+        flow_index: 0,
+    };
+    let _lost = enc.encode(&meta(1000), &bytes::Bytes::from(shared.clone()));
+    let w = enc.encode(&meta(2200), &bytes::Bytes::from(shared.clone()));
+    let mut dec =
+        DecoderGateway::new(Decoder::new(DreConfig::default()), CLIENT, DEC_GW).with_nacks(ENC_GW);
+    let out = dec.process_batch(vec![data_packet(2, 2200, w.wire)]);
+    assert_eq!(out.len(), 1, "the undecodable packet is dropped");
+    #[rustfmt::skip]
+    let nack: [u8; 52] = [
+        0x45, 0x00, 0x00, 0x34, 0x00, 0x01, 0x40, 0x00, 0x40, 0x06, 0x26, 0xbd, // IPv4
+        0x0a, 0x00, 0x00, 0x04, 0x0a, 0x00, 0x00, 0x03,
+        0x1e, 0x61, 0x1e, 0x61, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // TCP
+        0x50, 0x08, 0xff, 0xff, 0x5f, 0x07, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // reserved 0, id 0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, // reserved 0, id 1
+    ];
+    assert_eq!(out[0].to_bytes(), nack);
+
+    // Resync request: a wiped decoder meets a generation-1 shim.
+    let mut enc = Encoder::new(DreConfig::default(), PolicyKind::Naive.build()).with_wire_gen(true);
+    assert!(enc.resync(0));
+    let w = enc.encode(&meta(1000), &bytes::Bytes::from(shared.clone()));
+    let mut sim = Simulator::new(1);
+    let sender = sim.add_node(Script::new(vec![data_packet(1, 1000, w.wire)]));
+    let receiver = sim.add_node(Script::new(Vec::new()));
+    let mut gw = DecoderGateway::new(Decoder::new(DreConfig::default()), CLIENT, DEC_GW)
+        .with_nacks(ENC_GW)
+        .with_recovery(true);
+    gw.wipe_cache();
+    let dec = sim.add_node(gw);
+    let enc_sink = sim.add_node(Script::new(Vec::new()));
+    sim.add_link(sender, dec, LinkConfig::default());
+    sim.add_link(dec, receiver, LinkConfig::default());
+    sim.add_link(dec, enc_sink, LinkConfig::default());
+    sim.add_route(sender, CLIENT, dec);
+    sim.add_route(dec, CLIENT, receiver);
+    sim.add_route(dec, ENC_GW, enc_sink);
+    // Before the first retry timer fires.
+    sim.run_until(bytecache_netsim::time::SimTime::from_micros(50_000));
+    let resync = &sim.node::<Script>(enc_sink).unwrap().received;
+    assert_eq!(resync.len(), 1);
+    #[rustfmt::skip]
+    let message: [u8; 48] = [
+        0x45, 0x00, 0x00, 0x30, 0x00, 0x01, 0x40, 0x00, 0x40, 0x06, 0x26, 0xc1, // IPv4
+        0x0a, 0x00, 0x00, 0x04, 0x0a, 0x00, 0x00, 0x03,
+        0x1e, 0x61, 0x1e, 0x61, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // TCP
+        0x50, 0x08, 0xff, 0xff, 0xa2, 0x09, 0x00, 0x00,
+        0xbd, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, // resync, reserved 0, gen 1
+    ];
+    assert_eq!(resync[0].to_bytes(), message);
 }

@@ -2,7 +2,7 @@
 //! either reproduces the exact original payload or drops the packet —
 //! it must never deliver wrong bytes.
 
-use bytecache::{Decoder, DreConfig, Encoder, PacketMeta, PolicyKind};
+use bytecache::{Decoder, DreConfig, Encoder, PacketId, PacketMeta, PolicyKind};
 use bytecache_packet::{FlowId, SeqNum};
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -153,6 +153,65 @@ proptest! {
                 NAIVE_STALLS.load(Ordering::Relaxed) > 0,
                 "no case made a retransmission undecodable under Naive"
             );
+        }
+    }
+}
+
+/// Flows a multi-flow stream spreads its packets over.
+const FLOWS: u8 = 6;
+
+fn flow_n(n: u8) -> FlowId {
+    FlowId {
+        dst: Ipv4Addr::new(10, 0, 1, n + 1),
+        ..flow()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Interleaved flows through one encoder/decoder pair under loss,
+    /// every policy: every decoded packet is exact, and every id the
+    /// decoder NACKs is dead at the encoder once the NACK is handled.
+    /// Each flow's sequence numbers only advance, so no policy flushes
+    /// and every NACKed id is still cached.
+    #[test]
+    fn lossy_multi_flow_nacks_mark_entries_dead(
+        stream in arb_stream(),
+        flows in proptest::collection::vec(0..FLOWS, 24),
+        drops in proptest::collection::vec(any::<bool>(), 1..40),
+    ) {
+        for kind in policies() {
+            let config = DreConfig::default();
+            let mut enc = Encoder::new(config.clone(), kind.build());
+            let mut dec = Decoder::new(config);
+            let mut next_seq = [1000u32; FLOWS as usize];
+            for (i, payload) in stream.iter().enumerate() {
+                let f = flows[i];
+                let m = PacketMeta {
+                    flow: flow_n(f),
+                    seq: SeqNum::new(next_seq[usize::from(f)]),
+                    payload_len: payload.len(),
+                    flow_index: 0,
+                };
+                next_seq[usize::from(f)] += payload.len() as u32;
+                let payload = Bytes::from(payload.clone());
+                let w = enc.encode(&m, &payload);
+                if drops[i % drops.len()] {
+                    continue; // channel ate it
+                }
+                let (result, feedback) = dec.decode(&w.wire, &m);
+                if let Ok(decoded) = result {
+                    prop_assert_eq!(decoded, payload, "policy {:?} packet {}", kind, i);
+                }
+                enc.handle_nack(&feedback.nack_ids);
+                for id in &feedback.nack_ids {
+                    prop_assert!(
+                        enc.cache().is_dead(PacketId(u64::from(*id))),
+                        "policy {:?}: NACKed id {} not marked dead", kind, id
+                    );
+                }
+            }
         }
     }
 }

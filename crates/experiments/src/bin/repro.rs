@@ -6,7 +6,7 @@
 use bytecache::PolicyKind;
 use bytecache_experiments::{
     ablation, capacity, fig6, handoff, insights, interflow, kdistance, mobility, perceived,
-    recovery, shardscale, stalltrace, sweep, table1, table2, tournament, tuning, Campaign,
+    recovery, stalltrace, sweep, table1, table2, tournament, tuning, Campaign,
 };
 use bytecache_netsim::time::SimDuration;
 use bytecache_netsim::QueueKind;
@@ -31,11 +31,10 @@ experiments:
   interflow   Sec. I/IV-C - inter-flow savings through shared gateways
   ablation    extension - Bernoulli vs bursty loss at equal mean rate
   tuning      Sec. III-B - DRE parameter (w, k) trade-offs
-  shardscale  extension - multi-flow throughput scaling across engine shards
   recovery    extension - decoder cache wipe mid-transfer: stall time and
               bytes sacrificed to safety (exit 1 on any corrupted delivery)
   capacity    extension - flash-crowd capacity: 25k concurrent flows through
-              a sharded gateway bank; byte savings, stall and first-byte
+              a bank of gateway pairs; byte savings, stall and first-byte
               distributions, cache pressure
   handoff     extension - multi-hop topologies and gateway handoff: resync vs
               cache migration on a 2-hop cache chain and a 4-gateway mesh;
@@ -215,7 +214,6 @@ fn main() {
         "interflow",
         "ablation",
         "tuning",
-        "shardscale",
         "recovery",
         "capacity",
         "handoff",
@@ -353,14 +351,6 @@ fn main() {
     if run("tuning") {
         let pts = tuning::run(scale.object_size, &[16, 32, 64], &[3, 4, 6]);
         println!("{}", tuning::render(&pts));
-    }
-    if run("shardscale") {
-        let base = shardscale::ShardScaleParams {
-            flows: 12,
-            object_size: if quick { 100_000 } else { 400_000 },
-            ..shardscale::ShardScaleParams::default()
-        };
-        println!("{}", shardscale::render_sweep(&[1, 2, 4, 8], &base));
     }
     if run("recovery") {
         let params = if quick {

@@ -4,9 +4,8 @@
 //! Every paper result is a grid of independent *cells* — (file, policy,
 //! loss) points, per-run downloads, burst-length ablations — each of
 //! which runs one or more seeded simulations. A [`Campaign`] fans the
-//! cells out over a bounded pool of scoped worker threads (the same
-//! `std::thread::scope` pattern as `ShardedEncoder::encode_batch`) and
-//! returns the results in input order.
+//! cells out over a bounded pool of scoped worker threads
+//! (`std::thread::scope`) and returns the results in input order.
 //!
 //! # Determinism
 //!
@@ -52,7 +51,7 @@ fn splitmix64(x: u64) -> u64 {
 /// which is the cornerstone of campaign determinism (see the [module
 /// docs](self)). `master == 0` is the legacy identity scheme
 /// (`seed == run`); any other master mixes all three components through
-/// [`splitmix64`].
+/// `splitmix64`.
 #[must_use]
 pub fn derive_seed(master: u64, cell: u64, run: u64) -> u64 {
     if master == 0 {
@@ -164,9 +163,8 @@ impl Campaign {
                 })
                 .collect();
         }
-        // Scoped-thread fan-out, after ShardedEncoder::encode_batch: a
-        // shared LIFO work queue (reversed, so cells start in input
-        // order) feeding preallocated result slots.
+        // Scoped-thread fan-out: a shared LIFO work queue (reversed, so
+        // cells start in input order) feeding preallocated result slots.
         let mut work: Vec<(usize, T)> = cells.into_iter().enumerate().collect();
         work.reverse();
         let queue = Mutex::new(work);

@@ -1,5 +1,5 @@
 //! Beyond the paper — flash-crowd capacity: tens of thousands of
-//! concurrent flows through a sharded gateway bank.
+//! concurrent flows through a bank of gateway pairs.
 //!
 //! The paper's motivating deployment is many wireless users fetching
 //! overlapping content through cache-equipped gateways. This harness

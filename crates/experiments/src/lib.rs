@@ -22,7 +22,6 @@
 //! | [`insights`] | §VII — packet-size/count numbers behind the analysis |
 //! | [`stalltrace`] | Figures 4 & 5 — the circular-dependency event trace |
 //! | [`mobility`] | §II — handoff survival at the IP layer |
-//! | [`shardscale`] | beyond the paper — multi-flow throughput scaling across engine shards |
 //! | [`recovery`] | beyond the paper — decoder cache wipe mid-transfer: stall time and bytes sacrificed to safety |
 //! | [`capacity`] | beyond the paper — 25k-flow flash crowd through a gateway bank: savings, stall and first-byte distributions, cache pressure |
 //! | [`handoff`] | beyond the paper — multi-hop topologies and gateway handoff: resync vs cache migration, cache chains |
@@ -53,7 +52,6 @@ pub mod perceived;
 pub mod recovery;
 pub mod report;
 pub mod scenario;
-pub mod shardscale;
 pub mod stalltrace;
 pub mod sweep;
 pub mod table1;

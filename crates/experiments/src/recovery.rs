@@ -22,6 +22,7 @@
 //! `data_intact`), wipe or no wipe.
 //!
 //! [`DownloadReport::max_stall`]: bytecache_tcp::DownloadReport
+//! [`RunResult`]: crate::RunResult
 
 use bytecache::PolicyKind;
 use bytecache_netsim::time::SimDuration;

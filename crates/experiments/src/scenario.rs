@@ -25,9 +25,13 @@ pub mod addrs {
     pub const DECODER_GW: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 4);
     /// Network-coding encoder node (enc-gateway side of the wireless
     /// hop; present only when [`ScenarioConfig::nc`] is set).
+    ///
+    /// [`ScenarioConfig::nc`]: super::ScenarioConfig::nc()
     pub const NC_ENC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 5);
     /// Network-coding decoder node (dec-gateway side of the wireless
     /// hop; present only when [`ScenarioConfig::nc`] is set).
+    ///
+    /// [`ScenarioConfig::nc`]: super::ScenarioConfig::nc()
     pub const NC_DEC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 6);
     /// Server TCP port.
     pub const SERVER_PORT: u16 = 80;

@@ -5,6 +5,9 @@ use bytecache_packet::Packet;
 use crate::node::NodeId;
 use crate::time::SimTime;
 
+#[cfg(doc)]
+use bytecache_telemetry::{EventKind, Recorder};
+
 /// A notable simulator event, passed to the installed [`TraceSink`].
 #[derive(Debug)]
 pub enum TraceEvent<'a> {

@@ -36,9 +36,8 @@ impl FlowId {
     }
 
     /// A stable 64-bit FNV-1a hash of the 4-tuple, independent of the
-    /// process and of `std`'s randomized hasher. Shard selection and
-    /// telemetry flow tags both use this, so a flow's tag in a metrics
-    /// snapshot identifies its shard (`stable_hash % shards`).
+    /// process and of `std`'s randomized hasher: the flow tag in
+    /// telemetry events and labelled series.
     #[must_use]
     pub fn stable_hash(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

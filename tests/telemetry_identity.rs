@@ -1,6 +1,6 @@
 //! Telemetry must be an observer, not a participant: every experiment
 //! must produce byte-identical results with telemetry on and off, and
-//! the snapshot a run emits must carry the per-flow and per-shard
+//! the snapshot a run emits must carry the per-flow and per-engine
 //! series the paper's analysis needs.
 
 use bytecache::PolicyKind;
@@ -29,9 +29,9 @@ fn sweep_results_are_identical_with_telemetry_on() {
     // And the snapshot must actually contain the acceptance series.
     assert!(metrics.counter("encoder.packets") > 0);
     assert!(metrics.hist("flow.perceived_loss_bp").is_some());
-    assert!(metrics.hist("shard.hit_rate_pct").is_some());
-    // The fingerprint table's size survives the shard → bank → gateway
-    // → campaign merge (gauges add, so this is slots over all caches).
+    assert!(metrics.counter("encoder.encoded_packets") > 0);
+    // The fingerprint table's size survives the engine → gateway →
+    // campaign merge (gauges add, so this is slots over all caches).
     let slots = metrics.gauge_value("cache.fp_slots").expect("table gauge");
     let entries = metrics
         .gauge_value("cache.fp_entries")
