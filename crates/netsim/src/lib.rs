@@ -59,4 +59,4 @@ pub use sim::{AsAny, Simulator};
 pub use stats::LinkStats;
 pub use topology::{Hop, Mobility, Topology};
 pub use trace::{FnTrace, TelemetrySink, TraceEvent, TraceSink};
-pub use wheel::{replay_schedule, QueueKind, ScheduleOp};
+pub use wheel::{replay_schedule, replay_schedule_with, QueueKind, ScheduleOp};

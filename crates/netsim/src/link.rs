@@ -3,7 +3,8 @@
 
 use rand::rngs::StdRng;
 
-use crate::channel::{ChannelConfig, Verdict};
+use crate::channel::{Channel, ChannelConfig, LossModel, Verdict};
+use crate::stats::LinkStats;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifier of a link within one [`Simulator`](crate::Simulator).
@@ -66,15 +67,42 @@ impl LinkConfig {
     /// Time to serialize `bytes` onto this link.
     #[must_use]
     pub fn serialization_time(&self, bytes: usize) -> SimDuration {
-        match self.rate_bytes_per_sec {
-            None => SimDuration::ZERO,
-            Some(rate) => {
-                // Round up so a 1-byte packet on a fast link still takes 1µs... 0?
-                // Exact integer micros: bytes * 1e6 / rate.
-                SimDuration::from_micros((bytes as u64 * 1_000_000).div_ceil(rate.max(1)))
-            }
-        }
+        serialization_time(self.rate_bytes_per_sec, bytes)
     }
+}
+
+/// `bytes × 1e6 / rate` µs, rounded up: on a finite-rate link every
+/// nonempty packet takes at least 1 µs and an empty one takes 0.
+fn serialization_time(rate_bytes_per_sec: Option<u64>, bytes: usize) -> SimDuration {
+    match rate_bytes_per_sec {
+        None => SimDuration::ZERO,
+        Some(rate) => SimDuration::from_micros((bytes as u64 * 1_000_000).div_ceil(rate.max(1))),
+    }
+}
+
+/// Whether a channel with this configuration delivers every packet
+/// untouched without ever drawing from the RNG, so a link may skip it.
+///
+/// [`Channel::verdict`] on such a config: `remaining_burst` starts at 0
+/// and is set only by a reorder verdict, which `reorder_rate > 0.0`
+/// gates, so the burst branch never runs. Loss `None` returns "kept"
+/// without a draw, and Bernoulli's `rate > 0.0 &&` short-circuits before
+/// its `gen_bool`. The corruption, reorder and duplicate draws are each
+/// gated on their rate being `> 0.0`. So `verdict` returns
+/// [`Verdict::Deliver`] and touches nothing: skipping it leaves the RNG
+/// stream, and with it every other link's verdicts, as they were.
+/// Gilbert–Elliott draws its state transition on every packet, even at
+/// zero probabilities, so it is never clean.
+fn is_clean(channel: &ChannelConfig) -> bool {
+    let lossless = match channel.loss {
+        LossModel::None => true,
+        LossModel::Bernoulli { rate } => rate == 0.0,
+        LossModel::GilbertElliott { .. } => false,
+    };
+    lossless
+        && channel.corruption_rate == 0.0
+        && channel.reorder_rate == 0.0
+        && channel.duplicate_rate == 0.0
 }
 
 /// Outcome of pushing one packet through a link's shaper + channel; the
@@ -94,23 +122,33 @@ pub(crate) enum TxVerdict {
     Duplicate { arrive: SimTime, copy: SimTime },
 }
 
-/// Runtime state of a link.
+/// Runtime state of a link: what [`transmit`](Self::transmit) reads.
 #[derive(Debug)]
 pub(crate) struct LinkState {
-    pub(crate) config: LinkConfig,
-    pub(crate) channel: crate::channel::Channel,
     /// Time at which the transmitter finishes its current backlog.
-    pub(crate) busy_until: SimTime,
-    pub(crate) stats: crate::stats::LinkStats,
+    busy_until: SimTime,
+    rate_bytes_per_sec: Option<u64>,
+    propagation: SimDuration,
+    pub(crate) stats: LinkStats,
+    /// The channel, or `None` when its configuration is clean (see
+    /// [`is_clean`]): most links of a crowd are.
+    channel: Option<Box<Channel>>,
 }
 
 impl LinkState {
+    /// # Panics
+    ///
+    /// Panics if [`ChannelConfig::validate`] rejects the channel, clean
+    /// or not.
     pub(crate) fn new(config: LinkConfig) -> Self {
+        let clean = is_clean(&config.channel);
+        let channel = Channel::new(config.channel);
         LinkState {
-            channel: crate::channel::Channel::new(config.channel.clone()),
-            config,
             busy_until: SimTime::ZERO,
-            stats: crate::stats::LinkStats::default(),
+            rate_bytes_per_sec: config.rate_bytes_per_sec,
+            propagation: config.propagation,
+            stats: LinkStats::default(),
+            channel: (!clean).then(|| Box::new(channel)),
         }
     }
 
@@ -122,10 +160,14 @@ impl LinkState {
         self.stats.bytes_offered += wire as u64;
 
         let depart = now.max(self.busy_until);
-        let done = depart + self.config.serialization_time(wire);
+        let done = depart + serialization_time(self.rate_bytes_per_sec, wire);
         self.busy_until = done;
 
-        match self.channel.verdict(rng) {
+        let verdict = match &mut self.channel {
+            Some(channel) => channel.verdict(rng),
+            None => Verdict::Deliver,
+        };
+        match verdict {
             Verdict::Lose => {
                 self.stats.packets_lost += 1;
                 TxVerdict::Lost
@@ -138,7 +180,7 @@ impl LinkState {
                 self.stats.packets_delivered += 1;
                 self.stats.bytes_delivered += wire as u64;
                 TxVerdict::Deliver {
-                    arrive: done + self.config.propagation,
+                    arrive: done + self.propagation,
                 }
             }
             Verdict::Reorder(extra) => {
@@ -146,14 +188,14 @@ impl LinkState {
                 self.stats.bytes_delivered += wire as u64;
                 self.stats.packets_reordered += 1;
                 TxVerdict::Reorder {
-                    arrive: done + self.config.propagation + extra,
+                    arrive: done + self.propagation + extra,
                 }
             }
             Verdict::Duplicate(extra) => {
                 self.stats.packets_delivered += 1;
                 self.stats.bytes_delivered += wire as u64;
                 self.stats.packets_duplicated += 1;
-                let arrive = done + self.config.propagation;
+                let arrive = done + self.propagation;
                 TxVerdict::Duplicate {
                     arrive,
                     copy: arrive + extra,
@@ -250,6 +292,66 @@ mod tests {
             cfg.channel.loss,
             crate::channel::LossModel::Bernoulli { rate } if rate == 0.05
         ));
+    }
+
+    #[test]
+    fn only_impairing_channels_are_kept() {
+        let channel = |channel: ChannelConfig| {
+            LinkState::new(LinkConfig {
+                channel,
+                ..LinkConfig::default()
+            })
+            .channel
+            .is_some()
+        };
+        assert!(!channel(ChannelConfig::clean()));
+        assert!(!channel(ChannelConfig::lossy(0.0)));
+        assert!(!channel(ChannelConfig {
+            loss: LossModel::Bernoulli { rate: 0.0 },
+            reorder_burst_len: 4,
+            ..ChannelConfig::clean()
+        }));
+        assert!(channel(ChannelConfig::lossy(0.01)));
+        assert!(channel(ChannelConfig {
+            duplicate_rate: 0.01,
+            ..ChannelConfig::clean()
+        }));
+        // Zero-probability Gilbert–Elliott still draws per packet.
+        assert!(channel(ChannelConfig {
+            loss: LossModel::GilbertElliott {
+                good_loss: 0.0,
+                bad_loss: 0.0,
+                p_good_to_bad: 0.0,
+                p_bad_to_good: 0.0,
+            },
+            ..ChannelConfig::clean()
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid ChannelConfig")]
+    fn clean_links_still_validate_their_channel() {
+        let _ = LinkState::new(LinkConfig {
+            channel: ChannelConfig {
+                reorder_burst_len: 0,
+                ..ChannelConfig::clean()
+            },
+            ..LinkConfig::default()
+        });
+    }
+
+    /// A clean link draws nothing: the stream after many transmits is
+    /// the stream of a fresh RNG.
+    #[test]
+    fn clean_link_leaves_the_rng_alone() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut link = LinkState::new(LinkConfig::default());
+        for i in 0..100 {
+            let verdict = link.transmit(SimTime::from_micros(i), 100, &mut rng);
+            assert!(matches!(verdict, TxVerdict::Deliver { .. }));
+        }
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(9).gen::<u64>());
     }
 
     #[test]

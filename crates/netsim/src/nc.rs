@@ -729,7 +729,7 @@ mod tests {
             .into_iter()
             .filter_map(|a| match a {
                 Action::Forward(p) => Some(p),
-                Action::Timer(..) => None,
+                Action::Timer(..) | Action::CancelTimer(_) => None,
             })
             .collect()
     }
@@ -746,7 +746,7 @@ mod tests {
             .into_iter()
             .filter_map(|a| match a {
                 Action::Forward(p) => Some(p),
-                Action::Timer(..) => None,
+                Action::Timer(..) | Action::CancelTimer(_) => None,
             })
             .collect()
     }

@@ -38,9 +38,11 @@ pub trait Node {
 
     /// A timer previously set with [`Context::set_timer`] fired.
     ///
-    /// `token` is the caller-chosen value passed to `set_timer`. Timers
-    /// cannot be cancelled; implementations should validate the token
-    /// against their current state and ignore stale timers.
+    /// `token` is the caller-chosen value passed to `set_timer`. A timer
+    /// taken back with [`Context::cancel_timer`] never fires, so a node
+    /// that cancels every timer it abandons sees only live ones; one
+    /// that does not should validate the token against its current
+    /// state and ignore stale timers.
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         let _ = (token, ctx);
     }
@@ -58,6 +60,8 @@ pub enum Action {
     Forward(Packet),
     /// Schedule [`Node::on_timer`] with the token after the delay.
     Timer(SimDuration, u64),
+    /// Cancel the node's pending timer with this token, if any.
+    CancelTimer(u64),
 }
 
 /// Handle through which a node reads the clock and requests effects.
@@ -95,6 +99,15 @@ impl Context<'_> {
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.actions.push(Action::Timer(delay, token));
     }
+
+    /// Cancel this node's pending timer with `token`, if any: it leaves
+    /// the event queue at once and its [`Node::on_timer`] never runs.
+    /// A timer that already fired, or a token never set, is a no-op.
+    /// If several timers are pending under one token, the one set last
+    /// is cancelled. Applied in order with the callback's other actions.
+    pub fn cancel_timer(&mut self, token: u64) {
+        self.actions.push(Action::CancelTimer(token));
+    }
 }
 
 #[cfg(test)]
@@ -113,9 +126,11 @@ mod tests {
         assert_eq!(ctx.node_id().index(), 3);
         ctx.set_timer(SimDuration::from_millis(1), 42);
         ctx.forward(Packet::builder().build());
-        assert_eq!(actions.len(), 2);
+        ctx.cancel_timer(42);
+        assert_eq!(actions.len(), 3);
         assert!(matches!(actions[0], Action::Timer(d, 42) if d.as_micros() == 1000));
         assert!(matches!(actions[1], Action::Forward(_)));
+        assert!(matches!(actions[2], Action::CancelTimer(42)));
     }
 
     #[test]

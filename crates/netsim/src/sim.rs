@@ -7,6 +7,8 @@
 //! records why there is no parallel engine.
 
 use std::any::Any;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use bytecache_packet::Packet;
@@ -14,13 +16,13 @@ use bytecache_telemetry::{Event as TelemetryEvent, EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::fxhash::RouteMap;
+use crate::fxhash::{FxBuild, RouteMap};
 use crate::link::{LinkConfig, LinkId, LinkState, LinkTable, TxVerdict};
 use crate::node::{Action, Context, Node, NodeId};
 use crate::stats::LinkStats;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceSink};
-use crate::wheel::{EventQueue, QueueKind, ScheduleOp};
+use crate::wheel::{EventHandle, EventQueue, PoolSlot, QueueKind, ScheduleOp};
 
 /// Blanket helper granting `Any`-style downcasting to all nodes, so the
 /// harness can inspect endpoint state (e.g. download statistics) after a
@@ -77,11 +79,15 @@ pub(crate) struct Queued {
 // every delivery, the exact costs the event pool exists to avoid. The
 // rare variants (`Timer`, `RouteChange`) are already small. These
 // assertions fail the build if `Packet` or a new variant grows the
-// record past that budget.
+// record past that budget. A pool slot is the record plus the two `u32`
+// links of the wheel's doubly linked slot lists, 120 bytes; a link's
+// state is what `transmit` reads, its channel boxed only when impaired.
 const _: () = {
     assert!(std::mem::size_of::<EventKey>() == 16);
     assert!(std::mem::size_of::<Event>() <= 96);
     assert!(std::mem::size_of::<Queued>() <= 112);
+    assert!(std::mem::size_of::<PoolSlot>() == 120);
+    assert!(std::mem::size_of::<LinkState>() == 104);
 };
 
 impl PartialEq for Queued {
@@ -132,9 +138,20 @@ pub struct Simulator {
     /// Reused buffer for node-emitted actions: one dispatch at a time
     /// runs, so a single scratch vector avoids an allocation per event.
     action_scratch: Vec<Action>,
-    /// When present, every queue push/pop is appended here (see
+    /// When present, every queue push/pop/cancel is appended here (see
     /// [`Simulator::record_schedule`]).
     schedule_log: Option<Vec<ScheduleOp>>,
+    /// `seq` of the recording's first push: a cancel is logged by its
+    /// push's ordinal, `seq - schedule_base`.
+    schedule_base: u64,
+    /// Pending timers by `(node, token)`, for [`Context::cancel_timer`].
+    /// A timer leaves the map when it pops or is cancelled; setting a
+    /// second timer under a pending one's token takes over its entry.
+    timers: HashMap<(NodeId, u64), EventHandle, FxBuild>,
+    /// Latest deadline of a cancelled timer. When the queue runs dry
+    /// the clock moves up to it, to where it would stand had the timer
+    /// fired and been ignored.
+    cancelled_until: SimTime,
 }
 
 /// Object-safe supertrait combining [`Node`] and downcasting.
@@ -162,6 +179,9 @@ impl Simulator {
             events_processed: 0,
             action_scratch: Vec::new(),
             schedule_log: None,
+            schedule_base: 0,
+            timers: HashMap::default(),
+            cancelled_until: SimTime::ZERO,
         }
     }
 
@@ -191,14 +211,16 @@ impl Simulator {
         self.queue.kind()
     }
 
-    /// Start recording every queue push and pop as a [`ScheduleOp`]
-    /// sequence (replacing any previous recording).
+    /// Start recording every queue push, pop and cancel as a
+    /// [`ScheduleOp`] sequence (replacing any previous recording).
     ///
     /// The recorded schedule replays through
     /// [`replay_schedule`](crate::replay_schedule) to benchmark a queue
-    /// kind in isolation on this exact workload.
+    /// kind in isolation on this exact workload. A cancelled event
+    /// pushed before the recording started is left out of it.
     pub fn record_schedule(&mut self) {
         self.schedule_log = Some(Vec::new());
+        self.schedule_base = self.seq;
     }
 
     /// Stop recording and return the captured schedule (empty if
@@ -232,6 +254,11 @@ impl Simulator {
         };
         let id = LinkId(self.links.len());
         self.links.push(LinkState::new(config));
+        // Most nodes (a crowd's endpoints) have one outgoing link; a
+        // `Vec`'s first allocation would hold four.
+        if adj.capacity() == 0 {
+            adj.reserve_exact(1);
+        }
         adj.insert(pos, (to, id));
         id
     }
@@ -364,13 +391,27 @@ impl Simulator {
         (*self.nodes[id.0]).as_any_mut().downcast_mut::<T>()
     }
 
-    fn push(&mut self, at: SimTime, event: Event) {
+    fn push(&mut self, at: SimTime, event: Event) -> EventHandle {
         let key = EventKey { at, seq: self.seq };
         self.seq += 1;
         if let Some(log) = &mut self.schedule_log {
             log.push(ScheduleOp::Push(at.as_micros()));
         }
-        self.queue.push(Queued { key, event });
+        self.queue.push(Queued { key, event })
+    }
+
+    /// Take `node`'s pending timer `token`, if any, out of the queue.
+    fn cancel_timer(&mut self, node: NodeId, token: u64) {
+        let Some(handle) = self.timers.remove(&(node, token)) else {
+            return;
+        };
+        self.queue.cancel(handle);
+        self.cancelled_until = self.cancelled_until.max(handle.key.at);
+        if let Some(log) = &mut self.schedule_log {
+            if let Some(ordinal) = handle.key.seq.checked_sub(self.schedule_base) {
+                log.push(ScheduleOp::Cancel(ordinal));
+            }
+        }
     }
 
     fn start_if_needed(&mut self) {
@@ -408,8 +449,10 @@ impl Simulator {
             match action {
                 Action::Forward(packet) => self.route_and_transmit(node, packet),
                 Action::Timer(delay, token) => {
-                    self.push(self.now + delay, Event::Timer { node, token });
+                    let handle = self.push(self.now + delay, Event::Timer { node, token });
+                    self.timers.insert((node, token), handle);
                 }
+                Action::CancelTimer(token) => self.cancel_timer(node, token),
             }
         }
     }
@@ -534,6 +577,13 @@ impl Simulator {
             log.push(ScheduleOp::Pop);
         }
         debug_assert!(q.key.at >= self.now, "time went backwards");
+        if let Event::Timer { node, token } = q.event {
+            if let Entry::Occupied(pending) = self.timers.entry((node, token)) {
+                if pending.get().key == q.key {
+                    pending.remove();
+                }
+            }
+        }
         self.now = q.key.at;
         self.events_processed += 1;
         if self.telemetry.is_enabled() {
@@ -549,7 +599,9 @@ impl Simulator {
         true
     }
 
-    /// Run until no events remain; returns the final simulated time.
+    /// Run until no events remain; returns the final simulated time:
+    /// the last event's, or the latest deadline of a cancelled timer if
+    /// that is later.
     ///
     /// # Panics
     ///
@@ -558,6 +610,7 @@ impl Simulator {
     pub fn run_until_idle(&mut self) -> SimTime {
         self.start_if_needed();
         while self.step() {}
+        self.now = self.now.max(self.cancelled_until);
         self.now
     }
 
@@ -1079,6 +1132,80 @@ mod tests {
     fn same_time_events_pop_in_seq_order() {
         assert_eq!(transmit_order(QueueKind::Wheel), vec![1, 0]);
         assert_eq!(transmit_order(QueueKind::Heap), vec![1, 0]);
+    }
+
+    /// Arms a 1 s timer (token 1), re-arms it from a 10 ms kick (token
+    /// 2, due at 1.01 s) and cancels that from a 20 ms kick, as TCP
+    /// does with its retransmission timer.
+    #[derive(Default)]
+    struct Rearm {
+        fired: Vec<u64>,
+    }
+    impl Node for Rearm {
+        fn on_packet(&mut self, _p: Packet, _c: &mut Context<'_>) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.set_timer(SimDuration::from_secs(1), 1);
+            ctx.set_timer(SimDuration::from_millis(10), 100);
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+            self.fired.push(token);
+            match token {
+                100 => {
+                    ctx.cancel_timer(1);
+                    ctx.set_timer(SimDuration::from_secs(1), 2);
+                    ctx.set_timer(SimDuration::from_millis(10), 101);
+                }
+                101 => {
+                    ctx.cancel_timer(2);
+                    ctx.cancel_timer(2); // already gone: a no-op
+                    ctx.cancel_timer(7); // never set: a no-op
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn cancelled_timers_never_fire_but_still_set_the_end_time() {
+        for kind in [QueueKind::Wheel, QueueKind::Heap] {
+            let mut sim = Simulator::new(1);
+            sim.set_queue_kind(kind);
+            let n = sim.add_node(Rearm::default());
+            let end = sim.run_until_idle();
+            assert_eq!(sim.node::<Rearm>(n).unwrap().fired, [100, 101], "{kind:?}");
+            assert_eq!(sim.events_processed(), 2, "{kind:?}");
+            assert_eq!(end.as_micros(), 1_010_000, "{kind:?}");
+            assert_eq!(sim.now(), end);
+            assert!(sim.queue.is_empty() && sim.timers.is_empty(), "{kind:?}");
+        }
+    }
+
+    /// Two timers pending under one token: a cancel takes the one set
+    /// last, the other still fires.
+    #[test]
+    fn cancel_takes_the_timer_set_last_under_a_token() {
+        #[derive(Default)]
+        struct Twice {
+            fired: Vec<SimTime>,
+        }
+        impl Node for Twice {
+            fn on_packet(&mut self, _p: Packet, _c: &mut Context<'_>) {}
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_timer(SimDuration::from_millis(1), 7);
+                ctx.set_timer(SimDuration::from_millis(2), 7);
+                ctx.cancel_timer(7);
+            }
+            fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
+                self.fired.push(ctx.now());
+            }
+        }
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node(Twice::default());
+        assert_eq!(sim.run_until_idle().as_micros(), 2_000);
+        assert_eq!(
+            sim.node::<Twice>(n).unwrap().fired,
+            [SimTime::from_micros(1_000)]
+        );
     }
 
     #[test]

@@ -32,10 +32,20 @@
 //! is *unbased*: pushes collect in a staging list and the frontier is
 //! fixed at the staged minimum on first use. This keeps arbitrary
 //! push orders cheap at topology-build time.
+//!
+//! # Cancellation
+//!
+//! [`TimingWheel::cancel`] takes a pending event out in O(1). Slot
+//! lists are doubly linked, so an entry in one is unlinked and its pool
+//! slot freed at once. An entry in the bucket, staging, overflow or
+//! backlog is only marked; it is dropped, unseen, wherever it is next
+//! met. Either way it leaves [`len`](TimingWheel::len) at once, and
+//! cancelling the last live entry empties and unbases the wheel.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashSet};
 
+use crate::fxhash::FxBuild;
 use crate::node::NodeId;
 use crate::sim::{Event, EventKey, Queued};
 
@@ -49,7 +59,15 @@ pub(crate) const LEVELS: usize = 7;
 const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 
+/// End of a slot list or of the free list.
 const NIL: u32 = u32::MAX;
+/// `prev` of a pending entry outside the slot lists (staging, bucket,
+/// overflow or backlog).
+const DETACHED: u32 = u32::MAX - 1;
+/// `prev` of a free pool slot.
+const FREE: u32 = u32::MAX - 2;
+/// `next` of a detached entry that was cancelled.
+const CANCELLED: u32 = u32::MAX - 1;
 
 /// Which event-queue implementation a [`Simulator`](crate::Simulator)
 /// schedules through. Both produce byte-identical runs; the heap is the
@@ -66,12 +84,13 @@ pub enum QueueKind {
     Wheel,
 }
 
-/// One pooled queued-event record. `next` chains the intrusive per-slot
-/// FIFO lists and the free list.
-struct PoolSlot {
+/// One pooled queued-event record. `next` and `prev` link the per-slot
+/// FIFO lists; `next` also chains the free list.
+pub(crate) struct PoolSlot {
     key: EventKey,
     event: Event,
     next: u32,
+    prev: u32,
 }
 
 /// Inert placeholder occupying freed pool slots (dropping the real
@@ -99,6 +118,7 @@ impl EventPool {
         }
     }
 
+    /// Store `q` as a detached entry.
     fn alloc(&mut self, q: Queued) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
@@ -107,13 +127,18 @@ impl EventPool {
             slot.key = q.key;
             slot.event = q.event;
             slot.next = NIL;
+            slot.prev = DETACHED;
             idx
         } else {
-            let idx = u32::try_from(self.slots.len()).expect("event pool overflow");
+            let idx = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&i| i < FREE)
+                .expect("event pool overflow");
             self.slots.push(PoolSlot {
                 key: q.key,
                 event: q.event,
                 next: NIL,
+                prev: DETACHED,
             });
             idx
         }
@@ -124,6 +149,7 @@ impl EventPool {
         let key = slot.key;
         let event = std::mem::replace(&mut slot.event, vacant_event());
         slot.next = self.free_head;
+        slot.prev = FREE;
         self.free_head = idx;
         Queued { key, event }
     }
@@ -131,10 +157,22 @@ impl EventPool {
     fn key(&self, idx: u32) -> EventKey {
         self.slots[idx as usize].key
     }
+
+    /// Mark a detached entry cancelled and drop its payload now.
+    fn mark_cancelled(&mut self, idx: u32) {
+        let slot = &mut self.slots[idx as usize];
+        debug_assert_eq!(slot.prev, DETACHED);
+        slot.next = CANCELLED;
+        slot.event = vacant_event();
+    }
+
+    fn is_cancelled(&self, idx: u32) -> bool {
+        self.slots[idx as usize].next == CANCELLED
+    }
 }
 
 /// A pooled event plus its key, ordered by key — the element type of
-/// the bucket and overflow heaps.
+/// the bucket, backlog and overflow heaps.
 struct PooledEntry {
     key: EventKey,
     idx: u32,
@@ -157,6 +195,18 @@ impl Ord for PooledEntry {
     }
 }
 
+/// Pop the cancelled entries off the top of a pooled heap, freeing
+/// their slots, so its head is live (or it is empty).
+fn purge_head(heap: &mut BinaryHeap<Reverse<PooledEntry>>, pool: &mut EventPool) {
+    while let Some(Reverse(head)) = heap.peek() {
+        if !pool.is_cancelled(head.idx) {
+            return;
+        }
+        let Reverse(entry) = heap.pop().expect("peeked");
+        pool.free(entry.idx);
+    }
+}
+
 /// Head/tail of one slot's intrusive FIFO list into the pool.
 #[derive(Clone, Copy)]
 struct SlotList {
@@ -169,8 +219,24 @@ const EMPTY_SLOT: SlotList = SlotList {
     tail: NIL,
 };
 
-/// The hierarchical timing wheel. See the module docs for the layout
-/// and the pop-order contract.
+/// The wheel level of a timestamp that differs from the frontier in
+/// the bits `diff` (below the horizon): its highest differing 6-bit
+/// group. All lower groups stay ambiguous until the wheel cascades
+/// down to this level, which is exactly when they become decisive.
+fn level_of(diff: u64) -> usize {
+    if diff == 0 {
+        0
+    } else {
+        (63 - diff.leading_zeros()) as usize / SLOT_BITS as usize
+    }
+}
+
+fn slot_of(t: u64, level: usize) -> usize {
+    ((t >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize
+}
+
+/// The hierarchical timing wheel. See the module docs for the layout,
+/// the pop-order contract and cancellation.
 pub(crate) struct TimingWheel {
     pool: EventPool,
     levels: Vec<[SlotList; SLOTS]>,
@@ -186,9 +252,10 @@ pub(crate) struct TimingWheel {
     /// Events at exactly `cur`, popped in full-key order.
     bucket: BinaryHeap<Reverse<PooledEntry>>,
     /// Events pushed below `cur` (rare; see module docs).
-    backlog: BinaryHeap<Reverse<Queued>>,
+    backlog: BinaryHeap<Reverse<PooledEntry>>,
     /// Events at or beyond `cur + 2^42` µs.
     overflow: BinaryHeap<Reverse<PooledEntry>>,
+    /// Live (pushed, not yet popped or cancelled) events.
     len: usize,
 }
 
@@ -212,28 +279,25 @@ impl TimingWheel {
         self.len
     }
 
-    pub(crate) fn push(&mut self, q: Queued) {
+    /// Queue `q`; returns its pool index, the handle
+    /// [`cancel`](Self::cancel) takes while the event is pending.
+    pub(crate) fn push(&mut self, q: Queued) -> u32 {
         self.len += 1;
+        let key = q.key;
+        let t = key.at.as_micros();
+        let idx = self.pool.alloc(q);
         if !self.based {
-            let idx = self.pool.alloc(q);
             self.staging.push(idx);
-            return;
-        }
-        let t = q.key.at.as_micros();
-        if t < self.cur {
-            self.backlog.push(Reverse(q));
-            return;
-        }
-        if t == self.cur && !self.bucket.is_empty() {
+        } else if t < self.cur {
+            self.backlog.push(Reverse(PooledEntry { key, idx }));
+        } else if t == self.cur && !self.bucket.is_empty() {
             // The frontier timestamp is being drained right now; joining
             // the bucket keeps full-key order among its remaining ties.
-            let key = q.key;
-            let idx = self.pool.alloc(q);
             self.bucket.push(Reverse(PooledEntry { key, idx }));
-            return;
+        } else {
+            self.place(idx, t);
         }
-        let idx = self.pool.alloc(q);
-        self.place(idx, t);
+        idx
     }
 
     /// File a pooled event into its wheel level (or overflow). Requires
@@ -242,26 +306,26 @@ impl TimingWheel {
         debug_assert!(self.based && t >= self.cur);
         let diff = t ^ self.cur;
         if diff >> HORIZON_BITS != 0 {
-            let key = self.pool.key(idx);
+            let slot = &mut self.pool.slots[idx as usize];
+            slot.next = NIL;
+            slot.prev = DETACHED;
+            let key = slot.key;
             self.overflow.push(Reverse(PooledEntry { key, idx }));
             return;
         }
-        // Highest 6-bit group where `t` differs from the frontier; all
-        // lower groups stay ambiguous until the wheel cascades down to
-        // this level, which is exactly when they become decisive.
-        let level = if diff == 0 {
-            0
-        } else {
-            (63 - diff.leading_zeros()) as usize / SLOT_BITS as usize
-        };
-        let slot = ((t >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        let level = level_of(diff);
+        let slot = slot_of(t, level);
         let list = &mut self.levels[level][slot];
-        if list.head == NIL {
+        let tail = list.tail;
+        if tail == NIL {
             list.head = idx;
         } else {
-            self.pool.slots[list.tail as usize].next = idx;
+            self.pool.slots[tail as usize].next = idx;
         }
         list.tail = idx;
+        let entry = &mut self.pool.slots[idx as usize];
+        entry.next = NIL;
+        entry.prev = tail;
         self.occupancy[level] |= 1 << slot;
     }
 
@@ -272,30 +336,107 @@ impl TimingWheel {
         list.head
     }
 
-    /// Advance the frontier until the bucket holds the earliest wheel
-    /// timestamp (or the wheel side is empty). Sound because `cur` only
-    /// ever advances to the minimum *pending* wheel timestamp — never
-    /// past an event still queued — so causal pushes (always at or
-    /// after the event being processed) land at or after `cur`, and the
-    /// acausal remainder is exactly what `backlog` absorbs.
+    /// Cancel the pending event at pool index `idx` (a handle
+    /// [`push`](Self::push) returned, for an event not yet popped or
+    /// cancelled).
+    pub(crate) fn cancel(&mut self, idx: u32) {
+        let slot = &self.pool.slots[idx as usize];
+        assert!(
+            slot.prev != FREE && slot.next != CANCELLED,
+            "cancel of an event that is no longer pending"
+        );
+        if slot.prev == DETACHED {
+            self.pool.mark_cancelled(idx);
+        } else {
+            self.unlink(idx);
+            self.pool.free(idx);
+        }
+        self.len -= 1;
+        if self.len == 0 {
+            self.release_cancelled();
+        }
+    }
+
+    /// Unlink a slot-list entry. Its list is recomputed from the key:
+    /// `cur` never passes a pending event and only advances into a
+    /// slot by cascading it, so while an entry sits in a list its
+    /// highest 6-bit group differing from `cur` is still the one
+    /// [`place`](Self::place) filed it by.
+    fn unlink(&mut self, idx: u32) {
+        let PoolSlot {
+            key, next, prev, ..
+        } = self.pool.slots[idx as usize];
+        let t = key.at.as_micros();
+        let level = level_of(t ^ self.cur);
+        let slot = slot_of(t, level);
+        let list = &mut self.levels[level][slot];
+        if prev == NIL {
+            debug_assert_eq!(list.head, idx, "entry not in its computed list");
+            list.head = next;
+        } else {
+            self.pool.slots[prev as usize].next = next;
+        }
+        if next == NIL {
+            debug_assert_eq!(list.tail, idx, "entry not in its computed list");
+            list.tail = prev;
+        } else {
+            self.pool.slots[next as usize].prev = prev;
+        }
+        if list.head == NIL {
+            self.occupancy[level] &= !(1u64 << slot);
+        }
+    }
+
+    /// With no live event left, free every cancelled entry still
+    /// parked in staging, bucket, overflow or backlog and unbase, so the
+    /// next batch of pushes re-bases at its own minimum instead of
+    /// landing in the backlog below a stale `cur`.
+    fn release_cancelled(&mut self) {
+        debug_assert!(self.occupancy.iter().all(|&o| o == 0));
+        for idx in std::mem::take(&mut self.staging) {
+            self.pool.free(idx);
+        }
+        for heap in [&mut self.bucket, &mut self.backlog, &mut self.overflow] {
+            for Reverse(entry) in heap.drain() {
+                debug_assert!(self.pool.is_cancelled(entry.idx));
+                self.pool.free(entry.idx);
+            }
+        }
+        self.based = false;
+    }
+
+    /// Advance the frontier until the bucket's head is the earliest live
+    /// wheel event (or the wheel side is empty). Sound because `cur`
+    /// only ever advances to the minimum *pending* wheel timestamp —
+    /// never past an event still queued — so causal pushes (always at
+    /// or after the event being processed) land at or after `cur`, and
+    /// the acausal remainder is exactly what `backlog` absorbs.
     fn ensure_frontier(&mut self) {
         if !self.based {
-            if self.staging.is_empty() {
-                return;
-            }
-            self.cur = self
-                .staging
+            let mut staged = std::mem::take(&mut self.staging);
+            staged.retain(|&idx| {
+                let cancelled = self.pool.is_cancelled(idx);
+                if cancelled {
+                    self.pool.free(idx);
+                }
+                !cancelled
+            });
+            let Some(min) = staged
                 .iter()
                 .map(|&idx| self.pool.key(idx).at.as_micros())
                 .min()
-                .expect("staging non-empty");
+            else {
+                return;
+            };
+            self.cur = min;
             self.based = true;
-            for idx in std::mem::take(&mut self.staging) {
+            for idx in staged {
                 let t = self.pool.key(idx).at.as_micros();
                 self.place(idx, t);
             }
         }
         loop {
+            purge_head(&mut self.bucket, &mut self.pool);
             if !self.bucket.is_empty() {
                 return;
             }
@@ -305,9 +446,11 @@ impl TimingWheel {
                 let mut idx = self.take_slot(0, slot);
                 self.cur = (self.cur & !SLOT_MASK) | slot as u64;
                 while idx != NIL {
-                    let next = self.pool.slots[idx as usize].next;
-                    self.pool.slots[idx as usize].next = NIL;
-                    let key = self.pool.key(idx);
+                    let entry = &mut self.pool.slots[idx as usize];
+                    let next = entry.next;
+                    entry.next = NIL;
+                    entry.prev = DETACHED;
+                    let key = entry.key;
                     debug_assert_eq!(key.at.as_micros(), self.cur);
                     self.bucket.push(Reverse(PooledEntry { key, idx }));
                     idx = next;
@@ -317,11 +460,7 @@ impl TimingWheel {
             // Cascade the first occupied slot of the lowest occupied
             // level: rebase the frontier on that slot's prefix and
             // re-place its events, which now land strictly below it.
-            let mut cascaded = false;
-            for level in 1..LEVELS {
-                if self.occupancy[level] == 0 {
-                    continue;
-                }
+            if let Some(level) = (1..LEVELS).find(|&l| self.occupancy[l] != 0) {
                 let slot = self.occupancy[level].trailing_zeros() as usize;
                 let mut idx = self.take_slot(level, slot);
                 let shift = SLOT_BITS * level as u32;
@@ -329,19 +468,15 @@ impl TimingWheel {
                     (self.cur & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((slot as u64) << shift);
                 while idx != NIL {
                     let next = self.pool.slots[idx as usize].next;
-                    self.pool.slots[idx as usize].next = NIL;
                     let t = self.pool.key(idx).at.as_micros();
                     self.place(idx, t);
                     idx = next;
                 }
-                cascaded = true;
-                break;
-            }
-            if cascaded {
                 continue;
             }
             // Inner wheel empty: jump to the overflow minimum and pull
             // in its whole 2^42 µs window.
+            purge_head(&mut self.overflow, &mut self.pool);
             let Some(Reverse(head)) = self.overflow.peek() else {
                 return;
             };
@@ -353,15 +488,20 @@ impl TimingWheel {
                     break;
                 }
                 let Reverse(entry) = self.overflow.pop().expect("peeked");
-                self.place(entry.idx, entry.key.at.as_micros());
+                if self.pool.is_cancelled(entry.idx) {
+                    self.pool.free(entry.idx);
+                } else {
+                    self.place(entry.idx, entry.key.at.as_micros());
+                }
             }
         }
     }
 
     pub(crate) fn peek_key(&mut self) -> Option<EventKey> {
         self.ensure_frontier();
+        purge_head(&mut self.backlog, &mut self.pool);
         let wheel_min = self.bucket.peek().map(|Reverse(e)| e.key);
-        let backlog_min = self.backlog.peek().map(|Reverse(q)| q.key);
+        let backlog_min = self.backlog.peek().map(|Reverse(e)| e.key);
         match (wheel_min, backlog_min) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -370,41 +510,78 @@ impl TimingWheel {
 
     pub(crate) fn pop(&mut self) -> Option<Queued> {
         self.ensure_frontier();
+        purge_head(&mut self.backlog, &mut self.pool);
         let from_backlog = match (self.bucket.peek(), self.backlog.peek()) {
-            (Some(Reverse(e)), Some(Reverse(q))) => q.key < e.key,
+            (Some(Reverse(e)), Some(Reverse(b))) => b.key < e.key,
             (None, Some(_)) => true,
             (Some(_), None) => false,
             (None, None) => return None,
         };
-        let q = if from_backlog {
-            let Reverse(q) = self.backlog.pop().expect("peeked");
-            q
+        let heap = if from_backlog {
+            &mut self.backlog
         } else {
-            let Reverse(entry) = self.bucket.pop().expect("peeked");
-            self.pool.free(entry.idx)
+            &mut self.bucket
         };
+        let Reverse(entry) = heap.pop().expect("peeked");
+        let q = self.pool.free(entry.idx);
         self.len -= 1;
         if self.len == 0 {
-            // Fully drained: forget the frontier so the next batch of
-            // pushes re-bases at its own minimum instead of landing in
-            // the backlog below a stale `cur`.
-            self.based = false;
+            self.release_cancelled();
         }
         Some(q)
+    }
+}
+
+/// A pending event's address in an [`EventQueue`]: its key, plus its
+/// pool index on the wheel. Valid until the event pops or is cancelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EventHandle {
+    pub(crate) key: EventKey,
+    slot: u32,
+}
+
+/// The original binary heap plus the `seq`s of its cancelled entries,
+/// which pop and peek skip.
+pub(crate) struct HeapQueue {
+    heap: BinaryHeap<Reverse<Queued>>,
+    cancelled: HashSet<u64, FxBuild>,
+}
+
+impl HeapQueue {
+    fn pop(&mut self) -> Option<Queued> {
+        loop {
+            let Reverse(q) = self.heap.pop()?;
+            if !self.cancelled.remove(&q.key.seq) {
+                return Some(q);
+            }
+        }
+    }
+
+    fn peek_key(&mut self) -> Option<EventKey> {
+        loop {
+            let key = self.heap.peek()?.0.key;
+            if !self.cancelled.remove(&key.seq) {
+                return Some(key);
+            }
+            self.heap.pop();
+        }
     }
 }
 
 /// The event queue the simulator schedules through: the original
 /// binary heap or the timing wheel, selected by [`QueueKind`].
 pub(crate) enum EventQueue {
-    Heap(BinaryHeap<Reverse<Queued>>),
+    Heap(HeapQueue),
     Wheel(Box<TimingWheel>),
 }
 
 impl EventQueue {
     pub(crate) fn new(kind: QueueKind) -> Self {
         match kind {
-            QueueKind::Heap => EventQueue::Heap(BinaryHeap::new()),
+            QueueKind::Heap => EventQueue::Heap(HeapQueue {
+                heap: BinaryHeap::new(),
+                cancelled: HashSet::default(),
+            }),
             QueueKind::Wheel => EventQueue::Wheel(Box::new(TimingWheel::new())),
         }
     }
@@ -416,17 +593,36 @@ impl EventQueue {
         }
     }
 
-    pub(crate) fn push(&mut self, q: Queued) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(q)),
+    pub(crate) fn push(&mut self, q: Queued) -> EventHandle {
+        let key = q.key;
+        let slot = match self {
+            EventQueue::Heap(h) => {
+                h.heap.push(Reverse(q));
+                NIL
+            }
             EventQueue::Wheel(w) => w.push(q),
-        }
+        };
+        EventHandle { key, slot }
     }
 
     pub(crate) fn pop(&mut self) -> Option<Queued> {
         match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(q)| q),
+            EventQueue::Heap(h) => h.pop(),
             EventQueue::Wheel(w) => w.pop(),
+        }
+    }
+
+    /// Take a pending event out of the queue; it is never popped.
+    pub(crate) fn cancel(&mut self, handle: EventHandle) {
+        match self {
+            EventQueue::Heap(h) => {
+                let fresh = h.cancelled.insert(handle.key.seq);
+                debug_assert!(fresh, "event cancelled twice");
+            }
+            EventQueue::Wheel(w) => {
+                debug_assert!(w.pool.key(handle.slot) == handle.key);
+                w.cancel(handle.slot);
+            }
         }
     }
 
@@ -435,14 +631,14 @@ impl EventQueue {
     /// observable order is unchanged).
     pub(crate) fn peek_key(&mut self) -> Option<EventKey> {
         match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(q)| q.key),
+            EventQueue::Heap(h) => h.peek_key(),
             EventQueue::Wheel(w) => w.peek_key(),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
-            EventQueue::Heap(h) => h.len(),
+            EventQueue::Heap(h) => h.heap.len() - h.cancelled.len(),
             EventQueue::Wheel(w) => w.len(),
         }
     }
@@ -456,16 +652,19 @@ impl EventQueue {
 /// [`Simulator::record_schedule`](crate::Simulator::record_schedule).
 ///
 /// A recorded run is a flat sequence of these; replaying it through
-/// [`replay_schedule`] exercises a queue kind with exactly the push/pop
-/// interleaving, timestamps, and depth profile of the original
-/// simulation, but none of its dispatch work — a scheduler-isolated
-/// benchmark on a real workload's schedule.
+/// [`replay_schedule`] exercises a queue kind with exactly the
+/// push/pop/cancel interleaving, timestamps, and depth profile of the
+/// original simulation, but none of its dispatch work — a
+/// scheduler-isolated benchmark on a real workload's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScheduleOp {
     /// An event was scheduled for this absolute simulation time (µs).
     Push(u64),
     /// The earliest pending event was dequeued.
     Pop,
+    /// The event of the recording's push with this ordinal (0 = its
+    /// first `Push`) was cancelled while pending.
+    Cancel(u64),
 }
 
 /// Replay a recorded schedule through a fresh queue of `kind` and
@@ -479,14 +678,36 @@ pub enum ScheduleOp {
 /// away.
 #[must_use]
 pub fn replay_schedule(ops: &[ScheduleOp], kind: QueueKind) -> u64 {
-    let mut queue = EventQueue::new(kind);
-    let mut seq = 0u64;
     let mut pops = 0u64;
     let mut checksum = 0u64;
+    replay_schedule_with(ops, kind, |popped, _| {
+        if let Some((at, ordinal)) = popped {
+            checksum ^= at.wrapping_mul(ordinal | 1);
+            pops += 1;
+        }
+    });
+    std::hint::black_box(checksum);
+    pops
+}
+
+/// [`replay_schedule`] with an observer: after every op, `observe`
+/// gets the `(time µs, push ordinal)` of the event a `Pop` dequeued
+/// (`None` for other ops and for a `Pop` of an empty queue) and the
+/// number of events left pending. A `Cancel` of an ordinal that is not
+/// pending is ignored.
+pub fn replay_schedule_with(
+    ops: &[ScheduleOp],
+    kind: QueueKind,
+    mut observe: impl FnMut(Option<(u64, u64)>, usize),
+) {
+    let mut queue = EventQueue::new(kind);
+    // Handle of each push, by ordinal, while it is pending.
+    let mut pending: Vec<Option<EventHandle>> = Vec::new();
     for &op in ops {
-        match op {
+        let popped = match op {
             ScheduleOp::Push(at) => {
-                queue.push(Queued {
+                let seq = pending.len() as u64;
+                let handle = queue.push(Queued {
                     key: EventKey {
                         at: crate::time::SimTime::from_micros(at),
                         seq,
@@ -496,18 +717,26 @@ pub fn replay_schedule(ops: &[ScheduleOp], kind: QueueKind) -> u64 {
                         token: seq,
                     },
                 });
-                seq += 1;
+                pending.push(Some(handle));
+                None
             }
-            ScheduleOp::Pop => {
-                if let Some(q) = queue.pop() {
-                    checksum ^= q.key.at.as_micros().wrapping_mul(q.key.seq | 1);
-                    pops += 1;
+            ScheduleOp::Pop => queue.pop().map(|q| {
+                pending[q.key.seq as usize] = None;
+                (q.key.at.as_micros(), q.key.seq)
+            }),
+            ScheduleOp::Cancel(ordinal) => {
+                let handle = usize::try_from(ordinal)
+                    .ok()
+                    .and_then(|i| pending.get_mut(i))
+                    .and_then(Option::take);
+                if let Some(handle) = handle {
+                    queue.cancel(handle);
                 }
+                None
             }
-        }
+        };
+        observe(popped, queue.len());
     }
-    std::hint::black_box(checksum);
-    pops
 }
 
 #[cfg(test)]
@@ -718,6 +947,187 @@ mod tests {
             assert_eq!(wheel.pop().unwrap().key, want.key);
         }
         assert!(wheel.pop().is_none());
+    }
+
+    /// Where a pending entry sits.
+    fn in_list(w: &TimingWheel, idx: u32) -> bool {
+        w.pool.slots[idx as usize].prev != DETACHED
+    }
+
+    fn pop_times(w: &mut TimingWheel) -> Vec<u64> {
+        drain_keys(w).iter().map(|k| k.at.as_micros()).collect()
+    }
+
+    /// Three entries of one slot list (same timestamp, past level 0);
+    /// cancelling its head, middle or tail leaves the other two in
+    /// order and the list's occupancy bit as long as anything is left.
+    #[test]
+    fn cancel_unlinks_list_head_middle_and_tail() {
+        for victims in [&[0][..], &[1], &[2], &[0, 1], &[1, 2], &[0, 2], &[2, 0, 1]] {
+            let mut w = TimingWheel::new();
+            w.push(q(10, 100));
+            assert_eq!(w.peek_key().unwrap().at.as_micros(), 10);
+            let idx: Vec<u32> = (0..3).map(|i| w.push(q(5_000, i))).collect();
+            w.push(q(9_000, 50));
+            assert!(idx.iter().all(|&i| in_list(&w, i)));
+            for &v in victims {
+                w.cancel(idx[v]);
+            }
+            assert_eq!(w.len(), 5 - victims.len());
+            let mut want: Vec<EventKey> = (0..3u64)
+                .filter(|i| !victims.contains(&(*i as usize)))
+                .map(|i| q(5_000, i).key)
+                .collect();
+            want.insert(0, q(10, 100).key);
+            want.push(q(9_000, 50).key);
+            assert_eq!(drain_keys(&mut w), want, "victims {victims:?}");
+        }
+    }
+
+    #[test]
+    fn cancel_in_level_zero_slot_clears_its_occupancy() {
+        let mut w = TimingWheel::new();
+        w.push(q(0, 0));
+        w.peek_key();
+        let a = w.push(q(7, 1));
+        w.push(q(9, 2));
+        assert!(in_list(&w, a));
+        w.cancel(a);
+        assert_eq!(w.occupancy[0] & (1 << 7), 0);
+        assert_eq!(pop_times(&mut w), [0, 9]);
+    }
+
+    /// An entry already drained into the bucket is marked, skipped when
+    /// it reaches the bucket's top, and its slot recycled.
+    #[test]
+    fn cancel_in_bucket_is_skipped() {
+        let mut w = TimingWheel::new();
+        w.push(q(100, 0));
+        let b = w.push(q(100, 1));
+        w.push(q(100, 2));
+        w.push(q(200, 3));
+        assert_eq!(w.pop().unwrap().key.seq, 0);
+        assert!(!in_list(&w, b) && w.bucket.len() == 2);
+        w.cancel(b);
+        assert_eq!(w.len(), 2);
+        assert_eq!(drain_keys(&mut w), [q(100, 2).key, q(200, 3).key]);
+        assert!(w.bucket.is_empty());
+        // Three slots in play at most; the cancelled one was recycled.
+        w.push(q(300, 4));
+        assert!(w.pool.slots.len() <= 4);
+    }
+
+    #[test]
+    fn cancel_staged_entry_before_basing() {
+        let mut w = TimingWheel::new();
+        let first = w.push(q(5, 0));
+        w.push(q(50, 1));
+        w.cancel(first);
+        assert!(!w.based);
+        // The frontier bases at the live minimum, not the cancelled one.
+        assert_eq!(w.peek_key().unwrap().at.as_micros(), 50);
+        assert_eq!(w.cur, 50);
+        assert_eq!(pop_times(&mut w), [50]);
+    }
+
+    #[test]
+    fn cancel_overflow_entry() {
+        let far = 1u64 << 50;
+        let mut w = TimingWheel::new();
+        w.push(q(5, 0));
+        w.peek_key();
+        let a = w.push(q(far, 1));
+        w.push(q(far + 1, 2));
+        let c = w.push(q(far + (1 << 44), 3));
+        assert_eq!(w.overflow.len(), 3);
+        w.cancel(a);
+        w.cancel(c);
+        assert_eq!(pop_times(&mut w), [5, far + 1]);
+    }
+
+    /// The overflow minimum it would have jumped to is cancelled: the
+    /// frontier jumps to the live one instead.
+    #[test]
+    fn cancelled_overflow_head_does_not_set_the_frontier() {
+        let far = 1u64 << 50;
+        let mut w = TimingWheel::new();
+        w.push(q(5, 0));
+        w.peek_key();
+        let a = w.push(q(far, 1));
+        w.push(q(far + (1 << 44), 2));
+        w.cancel(a);
+        assert_eq!(pop_times(&mut w), [5, far + (1 << 44)]);
+    }
+
+    #[test]
+    fn cancel_backlog_entry() {
+        let mut w = TimingWheel::new();
+        w.push(q(1_000, 0));
+        w.push(q(5_000, 1));
+        assert_eq!(w.pop().unwrap().key.at.as_micros(), 1_000);
+        assert_eq!(w.peek_key().unwrap().at.as_micros(), 5_000);
+        let stray = w.push(q(2_000, 2));
+        w.push(q(3_000, 3));
+        assert_eq!(w.backlog.len(), 2);
+        w.cancel(stray);
+        assert_eq!(w.peek_key().unwrap().at.as_micros(), 3_000);
+        assert_eq!(pop_times(&mut w), [3_000, 5_000]);
+    }
+
+    /// Cancelling the last live entry empties the wheel: every parked
+    /// cancelled entry is freed and the next pushes re-base, whatever
+    /// their times.
+    #[test]
+    fn cancelling_the_last_live_entry_unbases() {
+        let mut w = TimingWheel::new();
+        w.push(q(1 << 30, 0));
+        let tie = w.push(q(1 << 30, 1));
+        assert_eq!(w.pop().unwrap().key.seq, 0);
+        let stray = w.push(q(10, 2));
+        let far = w.push(q(1 << 50, 3));
+        let listed = w.push(q((1 << 30) + 5_000, 4));
+        let bucketed = w.push(q(w.cur, 5));
+        assert!(w.bucket.len() == 2 && w.backlog.len() == 1 && w.overflow.len() == 1);
+        assert!(in_list(&w, listed));
+        for idx in [stray, far, bucketed, tie, listed] {
+            w.cancel(idx);
+        }
+        assert_eq!(w.len(), 0);
+        assert!(!w.based);
+        assert!(w.bucket.is_empty() && w.backlog.is_empty() && w.overflow.is_empty());
+        assert!(w.occupancy.iter().all(|&o| o == 0));
+        w.push(q(7, 6));
+        w.push(q(3, 7));
+        assert!(w.backlog.is_empty());
+        assert_eq!(pop_times(&mut w), [3, 7]);
+    }
+
+    /// A cascade re-places the survivors of a list some entries of
+    /// which were cancelled, and later cancels find them in their new
+    /// lists.
+    #[test]
+    fn cancel_after_cascade_finds_the_new_list() {
+        let mut w = TimingWheel::new();
+        w.push(q(0, 0));
+        w.peek_key();
+        let idx: Vec<u32> = (0..6).map(|i| w.push(q(4_096 + i * 70, i + 1))).collect();
+        w.cancel(idx[2]);
+        assert_eq!(w.pop().unwrap().key.at.as_micros(), 0);
+        // Popping 4 096 cascades the 4 096..4 446 list into level 1/0.
+        assert_eq!(w.pop().unwrap().key.at.as_micros(), 4_096);
+        w.cancel(idx[4]);
+        w.cancel(idx[5]);
+        assert_eq!(pop_times(&mut w), [4_166, 4_306]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no longer pending")]
+    fn cancelling_a_popped_event_panics() {
+        let mut w = TimingWheel::new();
+        let a = w.push(q(1, 0));
+        w.push(q(2, 1));
+        w.pop();
+        w.cancel(a);
     }
 
     #[test]

@@ -19,6 +19,10 @@
 //! The digest covers everything observable: sink arrivals, link stats,
 //! the final clock, event counts, no-route drops, the full trace log,
 //! and the telemetry export (wall-clock spans stripped).
+//!
+//! Cancellation is checked one layer down, on raw push/pop/cancel
+//! schedules replayed through both kinds: the same pops and the same
+//! `len()` after every operation.
 
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -26,7 +30,10 @@ use std::rc::Rc;
 
 use bytecache_netsim::channel::{ChannelConfig, LossModel};
 use bytecache_netsim::time::{SimDuration, SimTime};
-use bytecache_netsim::{Context, FnTrace, LinkConfig, Node, QueueKind, Simulator, TraceEvent};
+use bytecache_netsim::{
+    replay_schedule_with, Context, FnTrace, LinkConfig, Node, QueueKind, ScheduleOp, Simulator,
+    TraceEvent,
+};
 use bytecache_packet::{Packet, TcpFlags};
 use bytecache_telemetry::Recorder;
 use proptest::prelude::*;
@@ -361,4 +368,193 @@ fn dense_fixed_scenario_agrees_everywhere() {
         "scenario delivers packets"
     );
     assert_eq!(run_case(&plan, QueueKind::Wheel), heap);
+}
+
+/// What each kind reports after every op of a replayed schedule: the
+/// `(time, push ordinal)` a pop returned and the pending count.
+fn observe(ops: &[ScheduleOp], kind: QueueKind) -> Vec<(Option<(u64, u64)>, usize)> {
+    let mut seen = Vec::with_capacity(ops.len());
+    replay_schedule_with(ops, kind, |popped, len| seen.push((popped, len)));
+    seen
+}
+
+/// One step of a generated schedule, in terms of the queue's state.
+#[derive(Debug, Clone)]
+enum QOp {
+    /// Push near the last popped time, at an offset of class `class`
+    /// (the last class lands below it).
+    Push {
+        class: u8,
+        x: u64,
+    },
+    Pop,
+    /// Cancel one pending event, picked by `pick` among them in time
+    /// order, so a tie group's first, middle and last are all reached.
+    Cancel {
+        pick: u16,
+    },
+    /// Cancel an ordinal that is no longer (or never was) pending.
+    CancelStale {
+        pick: u16,
+    },
+    /// Pop until empty: the wheel unbases and the next pushes stage.
+    Drain,
+}
+
+fn qop_strategy() -> impl Strategy<Value = QOp> {
+    let push = || (0u8..7, any::<u64>()).prop_map(|(class, x)| QOp::Push { class, x });
+    let cancel = || any::<u16>().prop_map(|pick| QOp::Cancel { pick });
+    prop_oneof![
+        push(),
+        push(),
+        push(),
+        Just(QOp::Pop),
+        Just(QOp::Pop),
+        cancel(),
+        cancel(),
+        any::<u16>().prop_map(|pick| QOp::CancelStale { pick }),
+        Just(QOp::Drain),
+    ]
+}
+
+/// Lower a generated schedule to `ScheduleOp`s, tracking a model of the
+/// pending set so every cancel names a real target.
+fn lower(qops: &[QOp]) -> Vec<ScheduleOp> {
+    use std::collections::BTreeSet;
+    let mut pending: BTreeSet<(u64, u64)> = BTreeSet::new();
+    let mut now = 0u64;
+    let mut pushes = 0u64;
+    let mut ops = Vec::new();
+    let pop = |pending: &mut BTreeSet<(u64, u64)>, now: &mut u64, ops: &mut Vec<_>| {
+        if let Some(first) = pending.pop_first() {
+            *now = first.0;
+        }
+        ops.push(ScheduleOp::Pop);
+    };
+    for op in qops {
+        match *op {
+            QOp::Push { class, x } => {
+                let at = match class {
+                    0 => now,                               // tie: bucket
+                    1 => now + x % 64,                      // level 0
+                    2 => now + x % 4_096,                   // level 1
+                    3 => now + 5_000 + x % 4,               // one level-2 list
+                    4 => now + x % (1 << 30),               // upper levels
+                    5 => now + (1 << 42) + x % (1 << 44),   // overflow
+                    _ => now.saturating_sub(1 + x % 3_000), // backlog
+                };
+                pending.insert((at, pushes));
+                ops.push(ScheduleOp::Push(at));
+                pushes += 1;
+            }
+            QOp::Pop => pop(&mut pending, &mut now, &mut ops),
+            QOp::Cancel { pick } => {
+                if let Some(&target) = pending.iter().nth(usize::from(pick) % pending.len().max(1))
+                {
+                    pending.remove(&target);
+                    ops.push(ScheduleOp::Cancel(target.1));
+                }
+            }
+            QOp::CancelStale { pick } => {
+                let ordinal = u64::from(pick) % (pushes + 2);
+                if !pending.iter().any(|&(_, o)| o == ordinal) {
+                    ops.push(ScheduleOp::Cancel(ordinal));
+                }
+            }
+            QOp::Drain => {
+                while !pending.is_empty() {
+                    pop(&mut pending, &mut now, &mut ops);
+                }
+            }
+        }
+    }
+    ops
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random push/pop/cancel schedules: the wheel pops the heap's keys
+    /// and reports its `len()` after every op.
+    #[test]
+    fn wheel_matches_heap_with_cancels(qops in prop::collection::vec(qop_strategy(), 1..400)) {
+        let ops = lower(&qops);
+        prop_assert_eq!(observe(&ops, QueueKind::Wheel), observe(&ops, QueueKind::Heap));
+    }
+}
+
+/// Hand-built schedules, one per place a pending entry can sit in the
+/// wheel when it is cancelled; each must replay alike on both kinds.
+/// (`wheel.rs`'s unit tests assert the entry really sits there.)
+#[test]
+fn cancels_in_every_wheel_location_agree_with_heap() {
+    use ScheduleOp::{Cancel, Pop, Push};
+    // Ordinals 0 and 1: an event at 0 plus a far anchor; popping the
+    // first bases the wheel at 0 with the anchor still pending.
+    let based = [Push(0), Push(1 << 20), Pop];
+    let mut cases: Vec<(&str, Vec<ScheduleOp>)> = Vec::new();
+    // Three ties at 5 000 µs share one level-2 slot list (ordinals 2–4).
+    for (name, victim) in [("list head", 2), ("list middle", 3), ("list tail", 4)] {
+        let mut ops = based.to_vec();
+        ops.extend([Push(5_000), Push(5_000), Push(5_000), Cancel(victim)]);
+        ops.extend([Pop, Pop, Pop, Pop]);
+        cases.push((name, ops));
+    }
+    // Popping the first tie drains all three into the bucket.
+    let mut bucket = based.to_vec();
+    bucket.extend([
+        Push(300),
+        Push(300),
+        Push(300),
+        Pop,
+        Cancel(3),
+        Pop,
+        Pop,
+        Pop,
+    ]);
+    cases.push(("bucket", bucket));
+    // Nothing popped yet: the wheel is unbased and pushes are staged.
+    cases.push((
+        "staged",
+        vec![Push(40), Push(9), Push(70), Cancel(1), Pop, Pop, Pop],
+    ));
+    // Beyond the 2^42 µs horizon from the frontier.
+    let mut overflow = based.to_vec();
+    overflow.extend([Push(1 << 43), Push((1 << 43) + 1), Cancel(2), Pop, Pop, Pop]);
+    cases.push(("overflow", overflow));
+    // Below the frontier after a pop at 1 000 µs.
+    let mut backlog = based.to_vec();
+    backlog.extend([
+        Push(1_000),
+        Pop,
+        Push(500),
+        Push(700),
+        Cancel(4),
+        Pop,
+        Pop,
+        Pop,
+    ]);
+    cases.push(("backlog", backlog));
+    // The last live entry goes by cancel; the wheel must re-unbase so the
+    // next pushes, far below its old frontier, still pop in order.
+    let last = vec![
+        Push(1 << 30),
+        Push((1 << 30) + 10),
+        Pop,
+        Cancel(1),
+        Push(7),
+        Push(3),
+        Pop,
+        Pop,
+        Pop,
+    ];
+    cases.push(("last live entry", last));
+    for (name, ops) in cases {
+        let heap = observe(&ops, QueueKind::Heap);
+        assert!(
+            heap.iter().any(|(popped, _)| popped.is_some()),
+            "{name}: pops something"
+        );
+        assert_eq!(observe(&ops, QueueKind::Wheel), heap, "{name}");
+    }
 }

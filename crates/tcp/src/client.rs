@@ -149,9 +149,17 @@ impl TcpClientNode {
     }
 
     fn arm_timer(&mut self, delay: SimDuration, ctx: &mut Context<'_>) {
+        self.disarm(ctx);
         self.timer_gen += 1;
         self.armed_gen = Some(self.timer_gen);
         ctx.set_timer(delay, self.timer_gen);
+    }
+
+    /// Cancel the armed timer, if any.
+    fn disarm(&mut self, ctx: &mut Context<'_>) {
+        if let Some(armed) = self.armed_gen.take() {
+            ctx.cancel_timer(armed);
+        }
     }
 
     fn backoff_delay(&self) -> SimDuration {
@@ -311,7 +319,7 @@ impl TcpClientNode {
             self.state = State::Closed;
             self.report.complete = true;
             self.report.completed_at = Some(ctx.now());
-            self.armed_gen = None;
+            self.disarm(ctx);
         }
     }
 
@@ -390,14 +398,14 @@ impl Node for TcpClientNode {
                     let req_end = self.iss + 1u32 + Self::request_payload(&self.config).len();
                     if req_end.precedes_eq(packet.tcp.ack) {
                         self.request_acked = true;
-                        self.armed_gen = None; // stop request retransmits
+                        self.disarm(ctx); // stop request retransmits
                     }
                 }
                 if packet.has_payload() || flags.contains(TcpFlags::FIN) {
                     // First data also implies the request arrived.
                     if !self.request_acked {
                         self.request_acked = true;
-                        self.armed_gen = None;
+                        self.disarm(ctx);
                     }
                     self.handle_data(packet, ctx);
                 }
@@ -413,7 +421,7 @@ impl Node for TcpClientNode {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         if self.armed_gen != Some(token) {
-            return;
+            return; // stale: every abandoned timer is cancelled, so a defence only
         }
         self.armed_gen = None;
         if !self.started {

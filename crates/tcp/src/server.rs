@@ -188,13 +188,17 @@ impl TcpServerNode {
     }
 
     fn arm_timer(&mut self, ctx: &mut Context<'_>) {
+        self.cancel_timer(ctx);
         self.timer_gen += 1;
         self.armed_gen = Some(self.timer_gen);
         ctx.set_timer(self.rtt.rto(), self.timer_gen);
     }
 
-    fn cancel_timer(&mut self) {
-        self.armed_gen = None;
+    /// Cancel the armed timer, if any.
+    fn cancel_timer(&mut self, ctx: &mut Context<'_>) {
+        if let Some(armed) = self.armed_gen.take() {
+            ctx.cancel_timer(armed);
+        }
     }
 
     fn base_packet(&mut self) -> bytecache_packet::PacketBuilder {
@@ -473,13 +477,13 @@ impl TcpServerNode {
                 // FIN acknowledged: transfer complete.
                 self.state = State::Closed;
                 self.report.finished = true;
-                self.cancel_timer();
+                self.cancel_timer(ctx);
                 return;
             }
             if self.flight() > 0 {
                 self.arm_timer(ctx);
             } else {
-                self.cancel_timer();
+                self.cancel_timer(ctx);
             }
             if self.in_recovery {
                 self.recovery_send(ctx);
@@ -514,7 +518,7 @@ impl TcpServerNode {
         if self.retries > self.config.max_retries {
             self.state = State::Aborted;
             self.report.aborted = true;
-            self.cancel_timer();
+            self.cancel_timer(ctx);
             return;
         }
         let mss = self.config.mss;
@@ -560,7 +564,7 @@ impl Node for TcpServerNode {
                 if flags.contains(TcpFlags::ACK) && packet.tcp.ack == self.iss + 1u32 {
                     self.state = State::Established;
                     self.retries = 0;
-                    self.cancel_timer();
+                    self.cancel_timer(ctx);
                     // Fall through to process any piggybacked request data.
                     self.handle_established(packet, ctx);
                 }
@@ -577,7 +581,7 @@ impl Node for TcpServerNode {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         if self.armed_gen != Some(token) {
-            return; // stale timer
+            return; // stale: every abandoned timer is cancelled, so a defence only
         }
         self.armed_gen = None;
         match self.state {

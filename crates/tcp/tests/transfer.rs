@@ -1,10 +1,12 @@
 //! End-to-end TCP transfer tests over impaired simulated links.
 
+use std::cell::Cell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use bytecache_netsim::channel::{ChannelConfig, LossModel};
 use bytecache_netsim::time::{SimDuration, SimTime};
-use bytecache_netsim::{LinkConfig, Simulator};
+use bytecache_netsim::{FnTrace, LinkConfig, Simulator, TraceEvent};
 use bytecache_tcp::{DownloadReport, ServerReport, TcpClientNode, TcpConfig, TcpServerNode};
 
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -21,6 +23,10 @@ struct Outcome {
     server: ServerReport,
     received: Vec<u8>,
     end: SimTime,
+    /// Events the simulator dispatched, and how many were deliveries:
+    /// the rest are timers that fired.
+    events: u64,
+    deliveries: u64,
 }
 
 /// Run one transfer: the data direction (server → client) gets
@@ -49,6 +55,13 @@ fn run(obj: &[u8], data_channel: ChannelConfig, seed: u64, cfg: TcpConfig) -> Ou
     );
     sim.add_route(server, CLIENT_IP, client);
     sim.add_route(client, SERVER_IP, server);
+    let deliveries = Rc::new(Cell::new(0));
+    let counter = Rc::clone(&deliveries);
+    sim.set_trace(Box::new(FnTrace(move |ev: &TraceEvent<'_>| {
+        if let TraceEvent::Deliver { .. } = ev {
+            counter.set(counter.get() + 1);
+        }
+    })));
     let end = sim.run_until_idle();
     Outcome {
         client: sim.node::<TcpClientNode>(client).unwrap().report().clone(),
@@ -59,6 +72,8 @@ fn run(obj: &[u8], data_channel: ChannelConfig, seed: u64, cfg: TcpConfig) -> Ou
             .received()
             .to_vec(),
         end,
+        events: sim.events_processed(),
+        deliveries: deliveries.get(),
     }
 }
 
@@ -244,4 +259,55 @@ fn retransmissions_scale_with_loss_rate() {
     let r2 = run(&obj, ChannelConfig::lossy(0.02), 31, TcpConfig::default());
     let r8 = run(&obj, ChannelConfig::lossy(0.08), 31, TcpConfig::default());
     assert!(r8.server.retransmissions > r2.server.retransmissions);
+}
+
+/// Every retransmission timer a clean download arms is cancelled before
+/// it is due, so none is ever dispatched; the run still ends at the last
+/// cancelled deadline (1.030184 s), where it ended when stale timers
+/// fired and were ignored. Reports as they were before cancelling.
+#[test]
+fn lossless_download_leaves_no_pending_timer() {
+    let obj = object(200_000);
+    let o = run(&obj, ChannelConfig::clean(), 1, TcpConfig::default());
+    assert_eq!(o.received, obj);
+    assert_eq!(o.events, o.deliveries, "a timer was dispatched");
+    assert_eq!(o.deliveries, 280);
+    assert_eq!(o.end.as_micros(), 1_030_184);
+    assert_eq!(
+        format!("{:?}", o.client),
+        "DownloadReport { started_at: Some(SimTime(0)), first_byte_at: Some(SimTime(41724)), \
+         completed_at: Some(SimTime(289364)), bytes_delivered: 200000, \
+         data_packets_received: 137, dup_acks_sent: 0, complete: true, \
+         max_stall: Some(SimDuration(20040)), aborted: false }"
+    );
+    assert_eq!(
+        format!("{:?}", o.server),
+        "ServerReport { segments_sent: 138, retransmissions: 0, timeouts: 0, \
+         fast_retransmits: 0, aborted: false, finished: true }"
+    );
+}
+
+/// At 10 % loss the RTO still fires: the dispatched timers are exactly
+/// the live ones (eight server timeouts, two client handshake retries),
+/// and the reports and end time are as they were before cancelling.
+#[test]
+fn lossy_download_still_retransmits_on_rto() {
+    let obj = object(100_000);
+    let o = run(&obj, ChannelConfig::lossy(0.1), 3, TcpConfig::default());
+    assert_eq!(o.received, obj);
+    assert_eq!(o.server.timeouts, 8);
+    assert_eq!(o.events - o.deliveries, 10);
+    assert_eq!(o.end.as_micros(), 3_508_536);
+    assert_eq!(
+        format!("{:?}", o.client),
+        "DownloadReport { started_at: Some(SimTime(0)), first_byte_at: Some(SimTime(1041724)), \
+         completed_at: Some(SimTime(3320036)), bytes_delivered: 100000, \
+         data_packets_received: 69, dup_acks_sent: 24, complete: true, \
+         max_stall: Some(SimDuration(221552)), aborted: false }"
+    );
+    assert_eq!(
+        format!("{:?}", o.server),
+        "ServerReport { segments_sent: 82, retransmissions: 12, timeouts: 8, \
+         fast_retransmits: 5, aborted: false, finished: true }"
+    );
 }
