@@ -86,28 +86,6 @@ impl EncoderStats {
             self.matched_bytes as f64 / self.bytes_in as f64
         }
     }
-
-    /// Fold another encoder's counters into this one. Every field is a
-    /// sum, so the result is the total over both engines' traffic.
-    pub fn merge(&mut self, other: &EncoderStats) {
-        self.packets += other.packets;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.encoded_packets += other.encoded_packets;
-        self.raw_packets += other.raw_packets;
-        self.references += other.references;
-        self.flushes += other.flushes;
-        self.matches += other.matches;
-        self.matched_bytes += other.matched_bytes;
-        self.sum_distinct_refs += other.sum_distinct_refs;
-        self.scan_windows += other.scan_windows;
-        self.sampled_windows += other.sampled_windows;
-        self.index_insertions += other.index_insertions;
-        self.index_skips += other.index_skips;
-        self.resyncs += other.resyncs;
-        self.repairs += other.repairs;
-        self.repair_misses += other.repair_misses;
-    }
 }
 
 /// Counters maintained by [`Decoder`](crate::Decoder).
@@ -166,27 +144,6 @@ impl DecoderStats {
             + self.malformed
             + self.stale_gen
     }
-
-    /// Fold another decoder's counters into this one.
-    pub fn merge(&mut self, other: &DecoderStats) {
-        self.packets += other.packets;
-        self.raw += other.raw;
-        self.decoded += other.decoded;
-        self.missing_reference += other.missing_reference;
-        self.checksum_mismatch += other.checksum_mismatch;
-        self.bad_region += other.bad_region;
-        self.malformed += other.malformed;
-        self.epoch_flushes += other.epoch_flushes;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.scan_windows += other.scan_windows;
-        self.sampled_windows += other.sampled_windows;
-        self.index_insertions += other.index_insertions;
-        self.index_skips += other.index_skips;
-        self.stale_gen += other.stale_gen;
-        self.wipes += other.wipes;
-        self.resyncs += other.resyncs;
-    }
 }
 
 #[cfg(test)]
@@ -215,70 +172,6 @@ mod tests {
         assert_eq!(s.avg_dependencies(), 0.0);
         assert_eq!(s.redundancy_fraction(), 0.0);
         assert_eq!(DecoderStats::default().undecodable(), 0);
-    }
-
-    #[test]
-    fn merge_sums_every_field() {
-        let a = EncoderStats {
-            packets: 1,
-            bytes_in: 2,
-            bytes_out: 3,
-            encoded_packets: 4,
-            raw_packets: 5,
-            references: 6,
-            flushes: 7,
-            matches: 8,
-            matched_bytes: 9,
-            sum_distinct_refs: 10,
-            scan_windows: 11,
-            sampled_windows: 12,
-            index_insertions: 13,
-            index_skips: 17,
-            resyncs: 14,
-            repairs: 15,
-            repair_misses: 16,
-        };
-        let mut m = a.clone();
-        m.merge(&a);
-        assert_eq!(m.packets, 2);
-        assert_eq!(m.sum_distinct_refs, 20);
-        assert_eq!(m.scan_windows, 22);
-        assert_eq!(m.sampled_windows, 24);
-        assert_eq!(m.index_insertions, 26);
-        assert_eq!(m.index_skips, 34);
-        assert_eq!(m.resyncs, 28);
-        assert_eq!(m.repairs, 30);
-        assert_eq!(m.repair_misses, 32);
-        assert_eq!(m.byte_ratio(), a.byte_ratio(), "ratios are scale-free");
-
-        let d = DecoderStats {
-            packets: 1,
-            raw: 2,
-            decoded: 3,
-            missing_reference: 4,
-            checksum_mismatch: 5,
-            bad_region: 6,
-            malformed: 7,
-            epoch_flushes: 8,
-            bytes_in: 9,
-            bytes_out: 10,
-            scan_windows: 11,
-            sampled_windows: 12,
-            index_insertions: 13,
-            index_skips: 17,
-            stale_gen: 14,
-            wipes: 15,
-            resyncs: 16,
-        };
-        let mut md = d.clone();
-        md.merge(&d);
-        assert_eq!(md.undecodable(), 2 * d.undecodable());
-        assert_eq!(md.bytes_out, 20);
-        assert_eq!(md.index_insertions, 26);
-        assert_eq!(md.index_skips, 34);
-        assert_eq!(md.stale_gen, 28);
-        assert_eq!(md.wipes, 30);
-        assert_eq!(md.resyncs, 32);
     }
 
     #[test]

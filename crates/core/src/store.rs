@@ -105,17 +105,6 @@ pub struct CacheStats {
     pub index_skips: u64,
 }
 
-impl CacheStats {
-    /// Fold another cache's counters into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.inserts += other.inserts;
-        self.evictions += other.evictions;
-        self.replacements += other.replacements;
-        self.flushes += other.flushes;
-        self.index_skips += other.index_skips;
-    }
-}
-
 /// Counters describing one indexing pass over a packet's payload.
 ///
 /// Returned by [`Cache::index_payload`] and [`Cache::index_sampled`] so

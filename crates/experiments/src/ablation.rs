@@ -43,16 +43,9 @@ pub struct AblationPoint {
 }
 
 /// Run the ablation at `loss` mean rate for Bernoulli and the given
-/// burst lengths.
+/// burst lengths; results are identical for every thread count.
 #[must_use]
-pub fn run(object_size: usize, loss: f64, bursts: &[f64], seeds: u64) -> Vec<AblationPoint> {
-    run_with(&Campaign::default(), object_size, loss, bursts, seeds)
-}
-
-/// Run the ablation on an explicit [`Campaign`]; results are identical
-/// for every thread count.
-#[must_use]
-pub fn run_with(
+pub fn run(
     campaign: &Campaign,
     object_size: usize,
     loss: f64,
@@ -67,15 +60,14 @@ pub fn run_with(
             cells.push((policy, Some(b)));
         }
     }
-    campaign.run_cells("ablation", cells, move |cell, (policy, burst_len)| {
+    campaign.run_cells("ablation", cells, move |(policy, burst_len)| {
         let mut perceived = 0.0;
         let mut delay = 0.0;
         let mut bytes = 0.0;
         let mut runs = 0usize;
         let mut failures = 0usize;
-        for run in 0..seeds {
+        for seed in 0..seeds {
             // Baseline and DRE share the seed (same channel realization).
-            let seed = campaign.seed(cell as u64, run);
             let mut base_cfg = ScenarioConfig::new(object.clone()).loss(loss).seed(seed);
             base_cfg.burst_len = burst_len;
             let baseline = run_scenario(&base_cfg);
@@ -143,7 +135,7 @@ mod tests {
 
     #[test]
     fn bursty_loss_amplifies_less_than_bernoulli() {
-        let pts = run(200_000, 0.05, &[6.0], 3);
+        let pts = run(&Campaign::default(), 200_000, 0.05, &[6.0], 3);
         let cf_bern = pts
             .iter()
             .find(|p| p.policy == PolicyKind::CacheFlush && p.burst_len.is_none())
@@ -165,7 +157,7 @@ mod tests {
 
     #[test]
     fn render_shows_channel_kinds() {
-        let pts = run(100_000, 0.05, &[4.0], 1);
+        let pts = run(&Campaign::default(), 100_000, 0.05, &[4.0], 1);
         let s = render(&pts, 0.05).render();
         assert!(s.contains("Bernoulli"));
         assert!(s.contains("burst≈4"));

@@ -38,6 +38,7 @@ use bytecache_telemetry::{Histogram, Recorder};
 use bytecache_workload::{flash_crowd, generate, ObjectKind};
 use bytes::Bytes;
 
+use crate::campaign::Campaign;
 use crate::report::Table;
 
 /// Flash-crowd parameters.
@@ -203,9 +204,15 @@ fn shard_addr(shard: usize, host: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, shard as u8, host)
 }
 
-/// Build and run the flash crowd once; the snapshot comes back when
-/// `with_metrics` asks for one.
-fn run_one(params: &CapacityParams, with_metrics: bool) -> (CapacityResult, Option<Recorder>) {
+/// Run the flash crowd once and report what came of it, plus the
+/// telemetry snapshot (simulator and gateway series and the
+/// `capacity.stall_us` / `capacity.ttfb_us` histograms) when the
+/// campaign collects it; empty otherwise. The report is the same either
+/// way. The crowd is one simulation, so the campaign's thread count
+/// does not apply.
+#[must_use]
+pub fn run(campaign: &Campaign, params: &CapacityParams) -> (CapacityResult, Recorder) {
+    let with_metrics = campaign.telemetry();
     assert!(params.flows > 0 && params.shards > 0 && params.catalog > 0);
     // Web-page-like objects: high intra-object redundancy plus the
     // inter-flow redundancy of the shared catalog.
@@ -488,22 +495,7 @@ fn run_one(params: &CapacityParams, with_metrics: bool) -> (CapacityResult, Opti
         end_us: end.as_micros(),
         digest,
     };
-    (result, metrics)
-}
-
-/// Run the flash crowd and report what came of it.
-#[must_use]
-pub fn run(params: &CapacityParams) -> CapacityResult {
-    run_one(params, false).0
-}
-
-/// Like [`run`], with telemetry on: also returns the snapshot
-/// (simulator and gateway series plus the `capacity.stall_us` /
-/// `capacity.ttfb_us` histograms). The report is the one [`run`] gives.
-#[must_use]
-pub fn run_with_metrics(params: &CapacityParams) -> (CapacityResult, Recorder) {
-    let (result, metrics) = run_one(params, true);
-    (result, metrics.expect("metrics requested"))
+    (result, metrics.unwrap_or_default())
 }
 
 /// Render the report.
@@ -603,10 +595,15 @@ mod tests {
 
     #[test]
     fn tiny_crowd_is_identical_across_queue_kinds_and_saves_bytes() {
-        let heap = run(&tiny().queue(Some(QueueKind::Heap)));
-        let r = run(&tiny().queue(Some(QueueKind::Wheel)));
+        let campaign = Campaign::default();
+        let heap = run(&campaign, &tiny().queue(Some(QueueKind::Heap))).0;
+        let r = run(&campaign, &tiny().queue(Some(QueueKind::Wheel))).0;
         assert_eq!(heap.digest, r.digest, "heap and wheel must agree");
-        assert_eq!(run(&tiny()).digest, r.digest, "unpinned runs on the wheel");
+        assert_eq!(
+            run(&campaign, &tiny()).0.digest,
+            r.digest,
+            "unpinned runs on the wheel"
+        );
         assert_eq!(r.completed, 40, "clean channel: every flow completes");
         assert_eq!(r.aborted, 0);
         assert!(r.peak_concurrent > 1, "arrivals must overlap");
@@ -624,8 +621,10 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_carries_the_capacity_histograms() {
-        let (r, rec) = run_with_metrics(&tiny());
-        assert_eq!(r.digest, run(&tiny()).digest, "telemetry must not steer");
+        let (r, rec) = run(&Campaign::default().with_telemetry(true), &tiny());
+        let (plain, empty) = run(&Campaign::default(), &tiny());
+        assert_eq!(r.digest, plain.digest, "telemetry must not steer");
+        assert!(empty.is_empty());
         let stall = rec.hist("capacity.stall_us").expect("stall histogram");
         assert_eq!(stall.count(), 40);
         assert!(rec.hist("capacity.ttfb_us").is_some());

@@ -34,72 +34,36 @@ pub struct Fig6Result {
 }
 
 /// Run `runs` naive-policy downloads of a synthetic e-book at
-/// `loss_rate` and record how far each got.
+/// `loss_rate` and record how far each got: one cell per download, run
+/// `r` seeded with `r`. Also returns the runs' telemetry merged in input
+/// order (empty unless the campaign collects it).
 #[must_use]
-pub fn run(runs: usize, object_size: usize, loss_rate: f64) -> Fig6Result {
-    run_with(&Campaign::default(), runs, object_size, loss_rate)
-}
-
-/// Run the stall-frequency experiment on an explicit [`Campaign`]; one
-/// cell per download, seeded by the cell index (identical for every
-/// thread count).
-#[must_use]
-pub fn run_with(
+pub fn run(
     campaign: &Campaign,
     runs: usize,
     object_size: usize,
     loss_rate: f64,
-) -> Fig6Result {
-    grid(campaign, runs, object_size, loss_rate, false).0
-}
-
-/// Like [`run_with`], but with telemetry enabled on every run; returns
-/// the result plus a recorder merged across runs in input order. The
-/// result itself is byte-identical to [`run_with`]'s.
-#[must_use]
-pub fn run_with_metrics(
-    campaign: &Campaign,
-    runs: usize,
-    object_size: usize,
-    loss_rate: f64,
-) -> (Fig6Result, Recorder) {
-    grid(campaign, runs, object_size, loss_rate, true)
-}
-
-fn grid(
-    campaign: &Campaign,
-    runs: usize,
-    object_size: usize,
-    loss_rate: f64,
-    telemetry: bool,
 ) -> (Fig6Result, Recorder) {
     let object = generate(ObjectKind::Ebook, object_size, 42);
     let cells: Vec<u64> = (0..runs as u64).collect();
-    let fractions = campaign.run_cells("fig6", cells, |cell, run| {
+    let (outcomes, merged) = campaign.run_recorded("fig6", cells, |run, rec| {
         let r = run_scenario(
             &ScenarioConfig::new(object.clone())
                 .policy(PolicyKind::Naive)
                 .loss(loss_rate)
-                .seed(campaign.seed(cell as u64, run))
-                .telemetry(telemetry),
+                .seed(run)
+                .telemetry(rec.is_enabled()),
         );
-        (r.fraction_retrieved(), r.completed(), r.telemetry)
-    });
-    let mut merged = if telemetry {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    for (_, _, snapshot) in &fractions {
-        if let Some(snapshot) = snapshot {
-            merged.merge(snapshot);
+        if let Some(snapshot) = &r.telemetry {
+            rec.merge(snapshot);
         }
-    }
-    let successes = fractions.iter().filter(|(_, done, _)| *done).count();
-    let mean_fraction = fractions.iter().map(|(f, _, _)| f).sum::<f64>() / runs.max(1) as f64;
+        (r.fraction_retrieved(), r.completed())
+    });
+    let successes = outcomes.iter().filter(|(_, done)| *done).count();
+    let mean_fraction = outcomes.iter().map(|(f, _)| f).sum::<f64>() / runs.max(1) as f64;
     (
         Fig6Result {
-            fractions: fractions.into_iter().map(|(f, _, _)| f).collect(),
+            fractions: outcomes.into_iter().map(|(f, _)| f).collect(),
             successes,
             mean_fraction,
             loss_rate,
@@ -160,7 +124,7 @@ mod tests {
         // stalls the naive policy), so pick a loss rate that makes a
         // loss-free run very unlikely for this object size
         // (0.97^103 ≈ 4 %; the paper's 587 KB at 1 % gives 1.7 %).
-        let r = run(10, 150_000, 0.03);
+        let r = run(&Campaign::default(), 10, 150_000, 0.03).0;
         assert!(
             r.successes <= 2,
             "naive should stall almost always: {} of 10 succeeded",
@@ -173,7 +137,7 @@ mod tests {
 
     #[test]
     fn no_loss_means_no_stalls() {
-        let r = run(3, 100_000, 0.0);
+        let r = run(&Campaign::default(), 3, 100_000, 0.0).0;
         assert_eq!(r.successes, 3);
         assert!((r.mean_fraction - 1.0).abs() < 1e-9);
     }
@@ -196,7 +160,7 @@ mod tests {
 
     #[test]
     fn render_includes_summary() {
-        let r = run(2, 60_000, 0.0);
+        let r = run(&Campaign::default(), 2, 60_000, 0.0).0;
         let s = render(&r).render();
         assert!(s.contains("mean"));
         assert!(s.contains("2 of 2 completed"));

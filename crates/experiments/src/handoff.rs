@@ -48,7 +48,7 @@ use bytecache_telemetry::Recorder;
 use bytecache_workload::FileSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::campaign::Campaign;
+use crate::campaign::{self, Campaign, IdentityCheck};
 use crate::report::Table;
 use crate::scenario::addrs::{CLIENT, CLIENT_PORT, SERVER, SERVER_PORT};
 use crate::scenario::PassThrough;
@@ -646,74 +646,12 @@ fn run_one(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_case(
-    params: &HandoffParams,
-    shape: TopologyShape,
-    strategy: HandoffStrategy,
-    loss: f64,
-    wipe: bool,
-    object: &[u8],
-    seed: u64,
-    dre: bool,
-    queue: QueueKind,
-    telemetry: bool,
-) -> OneRun {
-    run_one(
-        shape,
-        strategy,
-        loss,
-        wipe,
-        object,
-        seed,
-        params.handoff_ms,
-        queue,
-        params.migrate_budget,
-        dre,
-        telemetry,
-    )
-}
-
 /// Run the sweep; one [`HandoffPoint`] per (shape, strategy, loss,
-/// wipe) cell.
+/// wipe) cell, plus the DRE runs' telemetry merged in input order (empty
+/// unless the campaign collects it). Results are identical for every
+/// thread count.
 #[must_use]
-pub fn run(params: &HandoffParams) -> Vec<HandoffPoint> {
-    run_with(&Campaign::default(), params)
-}
-
-/// Run the sweep on an explicit [`Campaign`]; results are identical
-/// for every thread count.
-#[must_use]
-pub fn run_with(campaign: &Campaign, params: &HandoffParams) -> Vec<HandoffPoint> {
-    grid(campaign, params, false)
-        .into_iter()
-        .map(|(p, _)| p)
-        .collect()
-}
-
-/// Like [`run_with`], but with telemetry enabled on every DRE run;
-/// returns the points plus a recorder merged in input order. The
-/// points are byte-identical to [`run_with`]'s.
-#[must_use]
-pub fn run_with_metrics(
-    campaign: &Campaign,
-    params: &HandoffParams,
-) -> (Vec<HandoffPoint>, Recorder) {
-    let results = grid(campaign, params, true);
-    let mut merged = Recorder::enabled();
-    let mut points = Vec::with_capacity(results.len());
-    for (p, rec) in results {
-        merged.merge(&rec);
-        points.push(p);
-    }
-    (points, merged)
-}
-
-fn grid(
-    campaign: &Campaign,
-    params: &HandoffParams,
-    telemetry: bool,
-) -> Vec<(HandoffPoint, Recorder)> {
+pub fn run(campaign: &Campaign, params: &HandoffParams) -> (Vec<HandoffPoint>, Recorder) {
     let mut cells = Vec::new();
     for &shape in &params.shapes {
         for &strategy in &params.strategies {
@@ -724,31 +662,19 @@ fn grid(
             }
         }
     }
-    campaign.run_cells("handoff", cells, |cell, (shape, strategy, loss, wipe)| {
-        point(
-            campaign,
-            params,
-            cell as u64,
-            shape,
-            strategy,
-            loss,
-            wipe,
-            telemetry,
-        )
+    campaign.run_recorded("handoff", cells, |(shape, strategy, loss, wipe), rec| {
+        point(params, shape, strategy, loss, wipe, rec)
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn point(
-    campaign: &Campaign,
     params: &HandoffParams,
-    cell: u64,
     shape: TopologyShape,
     strategy: HandoffStrategy,
     loss: f64,
     wipe: bool,
-    telemetry: bool,
-) -> (HandoffPoint, Recorder) {
+    rec: &mut Recorder,
+) -> HandoffPoint {
     let object = FileSpec::File1.build(params.object_size, 42);
     let queue = params.queue.unwrap_or(QueueKind::Wheel);
     let hops = shape.hops();
@@ -766,21 +692,26 @@ fn point(
     let mut runs = 0usize;
     let mut failures = 0usize;
     let mut corrupted = 0usize;
-    let mut recorder = if telemetry {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
+    let one = |seed, wipe, dre, telemetry| {
+        run_one(
+            shape,
+            strategy,
+            loss,
+            wipe,
+            &object,
+            seed,
+            params.handoff_ms,
+            queue,
+            params.migrate_budget,
+            dre,
+            telemetry,
+        )
     };
-    for run in 0..params.seeds {
-        let seed = campaign.seed(cell, run);
-        let baseline = run_case(
-            params, shape, strategy, loss, false, &object, seed, false, queue, false,
-        );
-        let dre = run_case(
-            params, shape, strategy, loss, wipe, &object, seed, true, queue, telemetry,
-        );
+    for seed in 0..params.seeds {
+        let baseline = one(seed, false, false, false);
+        let dre = one(seed, wipe, true, rec.is_enabled());
         if let Some(snapshot) = &dre.telemetry {
-            recorder.merge(snapshot);
+            rec.merge(snapshot);
         }
         if !dre.intact {
             corrupted += 1;
@@ -810,99 +741,61 @@ fn point(
         }
     }
     let n = runs.max(1) as f64;
-    (
-        HandoffPoint {
-            shape,
-            strategy,
-            loss,
-            wipe,
-            stall_ms: stall_sum / n,
-            baseline_stall_ms: baseline_stall_sum / n,
-            bytes_ratio: ratio_sum / n,
-            hop_ratios: hop_ratio_sums.iter().map(|s| s / n).collect(),
-            resyncs,
-            resyncs_sent,
-            repairs,
-            migrations,
-            migration_bytes,
-            handoffs,
-            in_flight_drops,
-            runs,
-            failures,
-            corrupted,
-        },
-        recorder,
-    )
-}
-
-/// Outcome of the byte-identity sweep.
-#[derive(Debug, Clone)]
-pub struct IdentityCheck {
-    /// Every variant digested byte-identically to its reference.
-    pub identical: bool,
-    /// (shape, strategy) combinations probed.
-    pub combos: usize,
-    /// Total simulations run (reference + variants per combo).
-    pub runs: usize,
+    HandoffPoint {
+        shape,
+        strategy,
+        loss,
+        wipe,
+        stall_ms: stall_sum / n,
+        baseline_stall_ms: baseline_stall_sum / n,
+        bytes_ratio: ratio_sum / n,
+        hop_ratios: hop_ratio_sums.iter().map(|s| s / n).collect(),
+        resyncs,
+        resyncs_sent,
+        repairs,
+        migrations,
+        migration_bytes,
+        handoffs,
+        in_flight_drops,
+        runs,
+        failures,
+        corrupted,
+    }
 }
 
 /// Assert the handoff subsystem's determinism contract on every
-/// (shape, strategy) of `params`: the run digest — delivery, per-hop
-/// wire bytes, every gateway's counters, the final clock — must be
-/// byte-identical on [`QueueKind::Heap`] and [`QueueKind::Wheel`] and
-/// with telemetry collection on or off.
+/// (shape, strategy) of `params` through [`campaign::determinism_check`]:
+/// the run digest — delivery, per-hop wire bytes, every gateway's
+/// counters, the final clock — must be byte-identical on
+/// [`QueueKind::Heap`] and [`QueueKind::Wheel`] and with telemetry
+/// collection on or off.
 #[must_use]
 pub fn determinism_check(params: &HandoffParams) -> IdentityCheck {
     let object = FileSpec::File1.build(params.object_size, 42);
     let loss = params.losses.iter().copied().fold(0.0, f64::max);
     let wipe = params.wipe.iter().any(|&w| w);
-    let seed = 42;
-    let mut identical = true;
-    let mut combos = 0;
-    let mut runs = 0;
-    // (queue, telemetry); the reference is (Heap, off).
-    let variants = [(QueueKind::Wheel, false), (QueueKind::Heap, true)];
+    let mut probes = Vec::new();
     for &shape in &params.shapes {
         for &strategy in &params.strategies {
-            combos += 1;
-            let reference = run_one(
-                shape,
-                strategy,
-                loss,
-                wipe,
-                &object,
-                seed,
-                params.handoff_ms,
-                QueueKind::Heap,
-                params.migrate_budget,
-                true,
-                false,
-            );
-            runs += 1;
-            for (queue, telemetry) in variants {
-                let got = run_one(
-                    shape,
-                    strategy,
-                    loss,
-                    wipe,
-                    &object,
-                    seed,
-                    params.handoff_ms,
-                    queue,
-                    params.migrate_budget,
-                    true,
-                    telemetry,
-                );
-                runs += 1;
-                identical &= got.digest == reference.digest;
-            }
+            probes.push((shape, strategy));
         }
     }
-    IdentityCheck {
-        identical,
-        combos,
-        runs,
-    }
+    campaign::determinism_check(&probes, |&(shape, strategy), queue, telemetry| {
+        run_one(
+            shape,
+            strategy,
+            loss,
+            wipe,
+            &object,
+            42,
+            params.handoff_ms,
+            queue,
+            params.migrate_budget,
+            true,
+            telemetry,
+        )
+        .digest
+    })
 }
 
 /// Serialize handoff points as a JSON array with Rust's shortest
@@ -1021,7 +914,7 @@ mod tests {
             vec![HandoffStrategy::Migrate],
             vec![TopologyShape::Chain2Hop],
         );
-        let pts = run(&params);
+        let pts = run(&Campaign::default(), &params).0;
         assert_eq!(pts.len(), 1);
         let p = &pts[0];
         assert_eq!(p.corrupted, 0, "corrupted delivery: {p:?}");
@@ -1039,14 +932,17 @@ mod tests {
 
     #[test]
     fn mesh_resync_pays_with_resyncs_migrate_does_not() {
-        let resync = run(&tiny(
-            vec![HandoffStrategy::Resync],
-            vec![TopologyShape::Mesh4],
-        ));
-        let migrate = run(&tiny(
-            vec![HandoffStrategy::Migrate],
-            vec![TopologyShape::Mesh4],
-        ));
+        let campaign = Campaign::default();
+        let resync = run(
+            &campaign,
+            &tiny(vec![HandoffStrategy::Resync], vec![TopologyShape::Mesh4]),
+        )
+        .0;
+        let migrate = run(
+            &campaign,
+            &tiny(vec![HandoffStrategy::Migrate], vec![TopologyShape::Mesh4]),
+        )
+        .0;
         let (r, m) = (&resync[0], &migrate[0]);
         assert_eq!(r.corrupted + m.corrupted, 0);
         assert_eq!(r.failures + m.failures, 0);
@@ -1080,12 +976,13 @@ mod tests {
         let check = determinism_check(&params);
         assert!(check.identical, "handoff runs diverged");
         assert_eq!(check.combos, 4);
+        assert_eq!(check.runs, 12);
     }
 
     #[test]
     fn telemetry_counters_flow_through_the_merge_path() {
         let params = tiny(vec![HandoffStrategy::Migrate], vec![TopologyShape::Mesh4]);
-        let (pts, rec) = run_with_metrics(&Campaign::default(), &params);
+        let (pts, rec) = run(&Campaign::default().with_telemetry(true), &params);
         assert_eq!(pts[0].corrupted, 0);
         for key in [
             "gateway.detaches",

@@ -13,7 +13,8 @@ use bytecache::PolicyKind;
 use bytecache_workload::FileSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::report::{parallel_map, Table};
+use crate::campaign::Campaign;
+use crate::report::Table;
 use crate::scenario::{run_scenario, ScenarioConfig};
 
 /// Per-scheme wire statistics at the probe loss rate.
@@ -34,9 +35,10 @@ pub struct InsightRow {
 /// The loss rate of the paper's §VII probe.
 pub const PROBE_LOSS: f64 = 0.09;
 
-/// Run the §VII comparison: Cache Flush vs k = 8 vs k = 50 at 9 % loss.
+/// Run the §VII comparison: Cache Flush vs k = 8 vs k = 50 at 9 % loss;
+/// results are identical for every thread count.
 #[must_use]
-pub fn run(object_size: usize, seeds: u64) -> Vec<InsightRow> {
+pub fn run(campaign: &Campaign, object_size: usize, seeds: u64) -> Vec<InsightRow> {
     let object = FileSpec::File1.build(object_size, 42);
     let policies = vec![
         PolicyKind::CacheFlush,
@@ -44,7 +46,7 @@ pub fn run(object_size: usize, seeds: u64) -> Vec<InsightRow> {
         PolicyKind::KDistance(50),
         PolicyKind::TcpSeq,
     ];
-    parallel_map(policies, move |policy| {
+    campaign.run_cells("insights", policies, move |policy| {
         let mut size_sum = 0.0;
         let mut count_sum = 0.0;
         let mut perceived_sum = 0.0;
@@ -104,7 +106,7 @@ mod tests {
 
     #[test]
     fn aggressive_compression_means_smaller_packets() {
-        let rows = run(150_000, 2);
+        let rows = run(&Campaign::default(), 150_000, 2);
         let by = |p: PolicyKind| rows.iter().find(|r| r.policy == p).unwrap();
         let k8 = by(PolicyKind::KDistance(8));
         let k50 = by(PolicyKind::KDistance(50));
@@ -126,7 +128,7 @@ mod tests {
 
     #[test]
     fn render_lists_all_schemes() {
-        let s = render(&run(60_000, 1)).render();
+        let s = render(&run(&Campaign::default(), 60_000, 1)).render();
         assert!(s.contains("cache-flush"));
         assert!(s.contains("k-distance"));
         assert!(s.contains("920 B"), "{s}"); // from the title

@@ -11,7 +11,8 @@ use bytecache::PolicyKind;
 use bytecache_workload::FileSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::report::{parallel_map, Table};
+use crate::campaign::Campaign;
+use crate::report::Table;
 use crate::scenario::{run_scenario, ScenarioConfig};
 
 /// One measured (k, loss) point.
@@ -55,9 +56,10 @@ impl Default for KParams {
     }
 }
 
-/// Run the Figure 12 sweep on File 1.
+/// Run the Figure 12 sweep on File 1; results are identical for every
+/// thread count.
 #[must_use]
-pub fn run(params: &KParams) -> Vec<KPoint> {
+pub fn run(campaign: &Campaign, params: &KParams) -> Vec<KPoint> {
     let object = FileSpec::File1.build(params.object_size, 42);
     // Normalization: the no-loss download time (without DRE, as the
     // paper's base "download times in the absence of packet losses").
@@ -72,7 +74,7 @@ pub fn run(params: &KParams) -> Vec<KPoint> {
         }
     }
     let seeds = params.seeds;
-    parallel_map(cells, move |(k, loss)| {
+    campaign.run_cells("kdistance", cells, move |(k, loss)| {
         let mut bytes_sum = 0.0;
         let mut delay_sum = 0.0;
         let mut runs = 0usize;
@@ -148,7 +150,7 @@ mod tests {
             losses: vec![0.02],
             seeds: 2,
         };
-        let pts = run(&params);
+        let pts = run(&Campaign::default(), &params);
         let k2 = pts.iter().find(|p| p.k == 2).unwrap();
         let k16 = pts.iter().find(|p| p.k == 16).unwrap();
         assert!(
@@ -168,7 +170,7 @@ mod tests {
             losses: vec![0.05],
             seeds: 1,
         };
-        let s = render(&run(&params)).render();
+        let s = render(&run(&Campaign::default(), &params)).render();
         assert!(s.contains("bytes (5%)"));
         assert!(s.contains("delay (5%)"));
     }

@@ -57,16 +57,10 @@ pub fn policies() -> Vec<PolicyKind> {
     ]
 }
 
-/// Run the Figure 13 sweep on File 1.
+/// Run the Figure 13 sweep on File 1; results are identical for every
+/// thread count.
 #[must_use]
-pub fn run(params: &PerceivedParams) -> Vec<PerceivedPoint> {
-    run_with(&Campaign::default(), params)
-}
-
-/// Run the Figure 13 sweep on an explicit [`Campaign`]; results are
-/// identical for every thread count.
-#[must_use]
-pub fn run_with(campaign: &Campaign, params: &PerceivedParams) -> Vec<PerceivedPoint> {
+pub fn run(campaign: &Campaign, params: &PerceivedParams) -> Vec<PerceivedPoint> {
     let object = FileSpec::File1.build(params.object_size, 42);
     let mut cells = Vec::new();
     for policy in policies() {
@@ -75,15 +69,15 @@ pub fn run_with(campaign: &Campaign, params: &PerceivedParams) -> Vec<PerceivedP
         }
     }
     let seeds = params.seeds;
-    campaign.run_cells("perceived", cells, move |cell, (policy, actual)| {
+    campaign.run_cells("perceived", cells, move |(policy, actual)| {
         let mut sum = 0.0;
         let mut runs = 0usize;
-        for run in 0..seeds {
+        for seed in 0..seeds {
             let r = run_scenario(
                 &ScenarioConfig::new(object.clone())
                     .policy(policy)
                     .loss(actual)
-                    .seed(campaign.seed(cell as u64, run)),
+                    .seed(seed),
             );
             // Perceived loss is meaningful even for aborted runs.
             sum += r.perceived_loss();
@@ -134,7 +128,7 @@ mod tests {
             losses: vec![0.05],
             seeds: 3,
         };
-        let pts = run(&params);
+        let pts = run(&Campaign::default(), &params);
         let by = |p: PolicyKind| pts.iter().find(|q| q.policy == p).unwrap().perceived;
         let cf = by(PolicyKind::CacheFlush);
         let ts = by(PolicyKind::TcpSeq);
@@ -159,7 +153,7 @@ mod tests {
             losses: vec![0.02],
             seeds: 1,
         };
-        let s = render(&run(&params)).render();
+        let s = render(&run(&Campaign::default(), &params)).render();
         assert!(s.contains("cache-flush"));
         assert!(s.contains("tcp-seq"));
         assert!(s.contains("k-distance"));

@@ -115,45 +115,11 @@ impl RecoveryParams {
     }
 }
 
-/// Run the sweep; one [`RecoveryPoint`] per (policy, loss, wipe time).
+/// Run the sweep; one [`RecoveryPoint`] per (policy, loss, wipe time),
+/// plus the DRE runs' telemetry merged in input order (empty unless the
+/// campaign collects it). Results are identical for every thread count.
 #[must_use]
-pub fn run(params: &RecoveryParams) -> Vec<RecoveryPoint> {
-    run_with(&Campaign::default(), params)
-}
-
-/// Run the sweep on an explicit [`Campaign`]; results are identical
-/// for every thread count.
-#[must_use]
-pub fn run_with(campaign: &Campaign, params: &RecoveryParams) -> Vec<RecoveryPoint> {
-    grid(campaign, params, false)
-        .into_iter()
-        .map(|(p, _)| p)
-        .collect()
-}
-
-/// Like [`run_with`], but with telemetry enabled on every DRE run;
-/// returns the points plus a recorder merged across cells in input
-/// order. The points are byte-identical to [`run_with`]'s.
-#[must_use]
-pub fn run_with_metrics(
-    campaign: &Campaign,
-    params: &RecoveryParams,
-) -> (Vec<RecoveryPoint>, Recorder) {
-    let results = grid(campaign, params, true);
-    let mut merged = Recorder::enabled();
-    let mut points = Vec::with_capacity(results.len());
-    for (p, rec) in results {
-        merged.merge(&rec);
-        points.push(p);
-    }
-    (points, merged)
-}
-
-fn grid(
-    campaign: &Campaign,
-    params: &RecoveryParams,
-    telemetry: bool,
-) -> Vec<(RecoveryPoint, Recorder)> {
+pub fn run(campaign: &Campaign, params: &RecoveryParams) -> (Vec<RecoveryPoint>, Recorder) {
     let mut cells = Vec::new();
     for &policy in &params.policies {
         for &loss in &params.losses {
@@ -162,31 +128,19 @@ fn grid(
             }
         }
     }
-    campaign.run_cells("recovery", cells, |cell, (policy, loss, wipe_ms)| {
-        point(
-            campaign,
-            cell as u64,
-            policy,
-            loss,
-            wipe_ms,
-            params.object_size,
-            params.seeds,
-            telemetry,
-        )
+    campaign.run_recorded("recovery", cells, |(policy, loss, wipe_ms), rec| {
+        point(policy, loss, wipe_ms, params.object_size, params.seeds, rec)
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn point(
-    campaign: &Campaign,
-    cell: u64,
     policy: PolicyKind,
     loss: f64,
     wipe_ms: u64,
     size: usize,
     seeds: u64,
-    telemetry: bool,
-) -> (RecoveryPoint, Recorder) {
+    rec: &mut Recorder,
+) -> RecoveryPoint {
     let object = FileSpec::File1.build(size, 42);
     let mut stall_sum = 0.0;
     let mut baseline_stall_sum = 0.0;
@@ -196,13 +150,7 @@ fn point(
     let mut runs = 0usize;
     let mut failures = 0usize;
     let mut corrupted = 0usize;
-    let mut recorder = if telemetry {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    for run in 0..seeds {
-        let seed = campaign.seed(cell, run);
+    for seed in 0..seeds {
         let baseline = run_scenario(&ScenarioConfig::new(object.clone()).loss(loss).seed(seed));
         let dre = run_scenario(
             &ScenarioConfig::new(object.clone())
@@ -211,10 +159,10 @@ fn point(
                 .seed(seed)
                 .recovery()
                 .wipe_at(SimDuration::from_millis(wipe_ms))
-                .telemetry(telemetry),
+                .telemetry(rec.is_enabled()),
         );
         if let Some(snapshot) = &dre.telemetry {
-            recorder.merge(snapshot);
+            rec.merge(snapshot);
         }
         if !dre.data_intact {
             corrupted += 1;
@@ -231,22 +179,19 @@ fn point(
         }
     }
     let n = runs.max(1) as f64;
-    (
-        RecoveryPoint {
-            policy,
-            loss,
-            wipe_ms,
-            stall_ms: stall_sum / n,
-            baseline_stall_ms: baseline_stall_sum / n,
-            bytes_ratio: bytes_sum / n,
-            resyncs,
-            recovery_requests,
-            runs,
-            failures,
-            corrupted,
-        },
-        recorder,
-    )
+    RecoveryPoint {
+        policy,
+        loss,
+        wipe_ms,
+        stall_ms: stall_sum / n,
+        baseline_stall_ms: baseline_stall_sum / n,
+        bytes_ratio: bytes_sum / n,
+        resyncs,
+        recovery_requests,
+        runs,
+        failures,
+        corrupted,
+    }
 }
 
 fn stall_ms_of(result: &crate::scenario::RunResult) -> f64 {
@@ -331,7 +276,7 @@ mod tests {
             policies: vec![PolicyKind::CacheFlush, PolicyKind::TcpSeq],
             seeds: 2,
         };
-        let pts = run(&params);
+        let pts = run(&Campaign::default(), &params).0;
         assert_eq!(pts.len(), 4);
         for p in &pts {
             assert_eq!(p.corrupted, 0, "corrupted delivery at {p:?}");
@@ -379,7 +324,7 @@ mod tests {
             policies: vec![PolicyKind::Degrading],
             seeds: 1,
         };
-        let rendered = render(&run(&params)).render();
+        let rendered = render(&run(&Campaign::default(), &params).0).render();
         assert!(rendered.contains("cache wipe"));
         assert!(rendered.contains("degrading"));
     }

@@ -1,4 +1,4 @@
-//! ASCII table rendering and a small parallel sweep runner.
+//! ASCII table rendering.
 
 /// A printable experiment table (monospace, padded columns).
 ///
@@ -81,21 +81,6 @@ impl core::fmt::Display for Table {
     }
 }
 
-/// Map `f` over `items` on a small thread pool, preserving order.
-///
-/// The experiment sweeps are embarrassingly parallel (independent
-/// seeded simulations); this keeps the `repro` binary and the Criterion
-/// benches wall-clock friendly. Thin wrapper over the campaign executor
-/// (see [`crate::campaign::Campaign`]) at its default thread count.
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    crate::campaign::Campaign::default().run_cells("map", items, |_, item| f(item))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,18 +102,5 @@ mod tests {
     fn wrong_arity_rejected() {
         let mut t = Table::new("T", &["a", "b"]);
         t.row(&["only one"]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let input: Vec<u64> = (0..100).collect();
-        let out = parallel_map(input.clone(), |x| x * 2);
-        assert_eq!(out, input.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_empty_input() {
-        let out: Vec<u32> = parallel_map(Vec::<u32>::new(), |x| x);
-        assert!(out.is_empty());
     }
 }

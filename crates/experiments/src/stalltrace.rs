@@ -7,29 +7,30 @@
 
 use bytecache::{Decoder, DreConfig, Encoder, PacketMeta, PolicyKind};
 use bytecache_packet::{FlowId, SeqNum};
+use bytecache_telemetry::Recorder;
 use bytes::Bytes;
 use std::net::Ipv4Addr;
+
+use crate::campaign::Campaign;
 
 /// Replay the paper's Figure 4 scenario under `policy` and return the
 /// annotated event log. `retransmissions` controls how many retries of
 /// the lost segment are attempted.
+///
+/// When the campaign collects telemetry, the merged encoder + decoder
+/// snapshot comes back too (empty otherwise): decode failures and
+/// policy flushes land on its event ring, so the log and the snapshot
+/// describe the same replay. The log is the same either way.
 #[must_use]
-pub fn trace(policy: PolicyKind, retransmissions: usize) -> Vec<String> {
-    trace_with_metrics(policy, retransmissions).0
-}
-
-/// Like [`trace`], but also returns the merged encoder + decoder
-/// telemetry snapshot — decode failures and policy flushes land on the
-/// event ring, so the annotated log and the metrics snapshot describe
-/// the same replay. The log itself is byte-identical to [`trace`]'s.
-#[must_use]
-pub fn trace_with_metrics(
+pub fn trace(
+    campaign: &Campaign,
     policy: PolicyKind,
     retransmissions: usize,
-) -> (Vec<String>, bytecache_telemetry::Recorder) {
+) -> (Vec<String>, Recorder) {
     let config = DreConfig::default();
-    let mut encoder = Encoder::new(config.clone(), policy.build()).with_telemetry(true);
-    let mut decoder = Decoder::new(config).with_telemetry(true);
+    let telemetry = campaign.telemetry();
+    let mut encoder = Encoder::new(config.clone(), policy.build()).with_telemetry(telemetry);
+    let mut decoder = Decoder::new(config).with_telemetry(telemetry);
     let flow = FlowId {
         src: Ipv4Addr::new(10, 0, 0, 1),
         src_port: 80,
@@ -126,7 +127,7 @@ mod tests {
 
     #[test]
     fn naive_trace_never_recovers() {
-        let log = trace(PolicyKind::Naive, 6);
+        let log = trace(&Campaign::default(), PolicyKind::Naive, 6).0;
         let text = log.join("\n");
         assert!(text.contains("LOST on the channel"));
         assert!(text.contains("decoder DROPS IP(i)"));
@@ -136,7 +137,7 @@ mod tests {
 
     #[test]
     fn cache_flush_trace_recovers_on_first_retry() {
-        let log = trace(PolicyKind::CacheFlush, 6);
+        let log = trace(&Campaign::default(), PolicyKind::CacheFlush, 6).0;
         let text = log.join("\n");
         assert!(text.contains("flushed cache"));
         assert!(text.contains("stall broken"));
@@ -144,14 +145,18 @@ mod tests {
 
     #[test]
     fn tcp_seq_trace_recovers_on_first_retry() {
-        let text = trace(PolicyKind::TcpSeq, 6).join("\n");
+        let text = trace(&Campaign::default(), PolicyKind::TcpSeq, 6)
+            .0
+            .join("\n");
         assert!(text.contains("sent raw (no eligible match)"));
         assert!(text.contains("stall broken"));
     }
 
     #[test]
     fn k_distance_recovers_within_k() {
-        let text = trace(PolicyKind::KDistance(4), 8).join("\n");
+        let text = trace(&Campaign::default(), PolicyKind::KDistance(4), 8)
+            .0
+            .join("\n");
         assert!(text.contains("stall broken"));
     }
 }

@@ -71,39 +71,11 @@ impl Default for SweepParams {
     }
 }
 
-/// Run the sweep; one [`SweepPoint`] per (file, policy, loss).
+/// Run the sweep; one [`SweepPoint`] per (file, policy, loss), plus the
+/// DRE runs' telemetry merged in input order (empty unless the campaign
+/// collects it). Results are identical for every thread count.
 #[must_use]
-pub fn run(params: &SweepParams) -> Vec<SweepPoint> {
-    run_with(&Campaign::default(), params)
-}
-
-/// Run the sweep on an explicit [`Campaign`] (thread count, seed
-/// derivation, progress); results are identical for every thread count.
-#[must_use]
-pub fn run_with(campaign: &Campaign, params: &SweepParams) -> Vec<SweepPoint> {
-    grid(campaign, params, false)
-        .into_iter()
-        .map(|(p, _)| p)
-        .collect()
-}
-
-/// Like [`run_with`], but with telemetry enabled on every DRE run;
-/// returns the points plus a single recorder merged across all cells in
-/// input order (so the snapshot is identical for every thread count).
-/// The points themselves are byte-identical to [`run_with`]'s.
-#[must_use]
-pub fn run_with_metrics(campaign: &Campaign, params: &SweepParams) -> (Vec<SweepPoint>, Recorder) {
-    let results = grid(campaign, params, true);
-    let mut merged = Recorder::enabled();
-    let mut points = Vec::with_capacity(results.len());
-    for (p, rec) in results {
-        merged.merge(&rec);
-        points.push(p);
-    }
-    (points, merged)
-}
-
-fn grid(campaign: &Campaign, params: &SweepParams, telemetry: bool) -> Vec<(SweepPoint, Recorder)> {
+pub fn run(campaign: &Campaign, params: &SweepParams) -> (Vec<SweepPoint>, Recorder) {
     let mut cells = Vec::new();
     for &file in &params.files {
         for &policy in &params.policies {
@@ -112,56 +84,38 @@ fn grid(campaign: &Campaign, params: &SweepParams, telemetry: bool) -> Vec<(Swee
             }
         }
     }
-    campaign.run_cells("sweep", cells, |cell, (file, policy, loss)| {
-        point(
-            campaign,
-            cell as u64,
-            file,
-            policy,
-            loss,
-            params.object_size,
-            params.seeds,
-            telemetry,
-        )
+    campaign.run_recorded("sweep", cells, |(file, policy, loss), rec| {
+        point(file, policy, loss, params.object_size, params.seeds, rec)
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn point(
-    campaign: &Campaign,
-    cell: u64,
     file: FileSpec,
     policy: PolicyKind,
     loss: f64,
     size: usize,
     seeds: u64,
-    telemetry: bool,
-) -> (SweepPoint, Recorder) {
+    rec: &mut Recorder,
+) -> SweepPoint {
     let object = file.build(size, 42);
     let mut bytes_sum = 0.0;
     let mut delay_sum = 0.0;
     let mut perceived_sum = 0.0;
     let mut runs = 0usize;
     let mut failures = 0usize;
-    let mut recorder = if telemetry {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    for run in 0..seeds {
+    for seed in 0..seeds {
         // The baseline and DRE runs share the seed — and so the channel
         // realization — which is what makes their ratios meaningful.
-        let seed = campaign.seed(cell, run);
         let baseline = run_scenario(&ScenarioConfig::new(object.clone()).loss(loss).seed(seed));
         let dre = run_scenario(
             &ScenarioConfig::new(object.clone())
                 .policy(policy)
                 .loss(loss)
                 .seed(seed)
-                .telemetry(telemetry),
+                .telemetry(rec.is_enabled()),
         );
         if let Some(snapshot) = &dre.telemetry {
-            recorder.merge(snapshot);
+            rec.merge(snapshot);
         }
         match (baseline.duration_secs(), dre.duration_secs()) {
             (Some(tb), Some(td)) if baseline.completed() && dre.completed() => {
@@ -174,19 +128,16 @@ fn point(
         }
     }
     let n = runs.max(1) as f64;
-    (
-        SweepPoint {
-            file,
-            policy,
-            loss,
-            bytes_ratio: bytes_sum / n,
-            delay_ratio: delay_sum / n,
-            perceived_loss: perceived_sum / n,
-            runs,
-            failures,
-        },
-        recorder,
-    )
+    SweepPoint {
+        file,
+        policy,
+        loss,
+        bytes_ratio: bytes_sum / n,
+        delay_ratio: delay_sum / n,
+        perceived_loss: perceived_sum / n,
+        runs,
+        failures,
+    }
 }
 
 /// Serialize sweep points as a JSON array. Floats use Rust's shortest
@@ -281,7 +232,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_expected_shape() {
-        let pts = run(&quick_params());
+        let pts = run(&Campaign::default(), &quick_params()).0;
         assert_eq!(pts.len(), 2);
         let at0 = pts.iter().find(|p| p.loss == 0.0).unwrap();
         let at3 = pts.iter().find(|p| p.loss == 0.03).unwrap();
@@ -329,7 +280,7 @@ mod tests {
 
     #[test]
     fn tables_render_both_figures() {
-        let pts = run(&quick_params());
+        let pts = run(&Campaign::default(), &quick_params()).0;
         let f10 = render_fig10(&pts).render();
         let f11 = render_fig11(&pts).render();
         assert!(f10.contains("bytes-sent"));

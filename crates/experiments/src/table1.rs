@@ -57,26 +57,19 @@ pub fn measure_redundancy(object: &[u8], window_packets: usize) -> f64 {
     encoder.stats().redundancy_fraction()
 }
 
-/// Run the Table I measurement for all object kinds.
-#[must_use]
-pub fn run(object_size: usize, seed: u64) -> Vec<Row> {
-    run_with(&Campaign::default(), object_size, seed)
-}
-
-/// Run the Table I measurement on an explicit [`Campaign`]: one cell per
+/// Run the Table I measurement for all object kinds: one cell per
 /// (object kind, window) pair, results identical for every thread count.
 #[must_use]
-pub fn run_with(campaign: &Campaign, object_size: usize, seed: u64) -> Vec<Row> {
+pub fn run(campaign: &Campaign, object_size: usize, seed: u64) -> Vec<Row> {
     let mut cells = Vec::new();
     for &kind in ObjectKind::ALL.iter() {
         for &k in WINDOWS.iter() {
             cells.push((kind, k));
         }
     }
-    let measured = campaign.run_cells("table1", cells, |_, (kind, k)| {
-        // The workload generator is seeded directly (this experiment
-        // runs no channel), so the campaign's seed derivation is not
-        // involved; determinism is per-cell purity alone.
+    let measured = campaign.run_cells("table1", cells, |(kind, k)| {
+        // This experiment runs no channel: the workload generator's
+        // seed is the only randomness.
         let object = generate(kind, object_size, seed);
         measure_redundancy(&object, k)
     });
@@ -118,7 +111,7 @@ mod tests {
 
     #[test]
     fn ordering_and_monotonicity_match_the_paper() {
-        let rows = run(200_000, 7);
+        let rows = run(&Campaign::default(), 200_000, 7);
         let by_kind = |k: ObjectKind| rows.iter().find(|r| r.kind == k).unwrap();
         let ebook = by_kind(ObjectKind::Ebook);
         let video = by_kind(ObjectKind::Video);
@@ -145,7 +138,7 @@ mod tests {
 
     #[test]
     fn render_contains_all_kinds() {
-        let rows = run(60_000, 1);
+        let rows = run(&Campaign::default(), 60_000, 1);
         let s = render(&rows).render();
         assert!(s.contains("ebook"));
         assert!(s.contains("web page"));

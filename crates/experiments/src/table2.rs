@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::campaign::Campaign;
 use crate::report::Table;
-use crate::sweep::{run_with as run_sweep_with, SweepParams, SweepPoint};
+use crate::sweep::{self, SweepParams, SweepPoint};
 
 /// The measured Table II cells.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -35,15 +35,10 @@ pub fn schemes() -> Vec<PolicyKind> {
     ]
 }
 
-/// Run the Table II measurements.
+/// Run the Table II measurements: the Figure 10/11 sweep's grid at the
+/// two loss rates (its telemetry is not kept).
 #[must_use]
-pub fn run(object_size: usize, seeds: u64) -> Table2Result {
-    run_with(&Campaign::default(), object_size, seeds)
-}
-
-/// Run the Table II measurements on an explicit [`Campaign`].
-#[must_use]
-pub fn run_with(campaign: &Campaign, object_size: usize, seeds: u64) -> Table2Result {
+pub fn run(campaign: &Campaign, object_size: usize, seeds: u64) -> Table2Result {
     let params = SweepParams {
         object_size,
         losses: vec![0.05, 0.10],
@@ -52,7 +47,7 @@ pub fn run_with(campaign: &Campaign, object_size: usize, seeds: u64) -> Table2Re
         policies: schemes(),
     };
     Table2Result {
-        points: run_sweep_with(campaign, &params),
+        points: sweep::run(campaign, &params).0,
     }
 }
 
@@ -98,7 +93,7 @@ mod tests {
 
     #[test]
     fn table2_shape_holds() {
-        let r = run(150_000, 2);
+        let r = run(&Campaign::default(), 150_000, 2);
         assert_eq!(r.points.len(), 6);
         let get = |p: PolicyKind, l: f64| {
             r.points
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn render_matches_paper_layout() {
-        let r = run(80_000, 1);
+        let r = run(&Campaign::default(), 80_000, 1);
         let s = render(&r).render();
         assert!(s.contains("Bytes Sent (5% loss)"));
         assert!(s.contains("Delay (10% loss)"));

@@ -6,6 +6,11 @@
 //! may need to be selected." This ablation quantifies both sides of that
 //! sentence for our workloads: redundancy captured and encoder
 //! throughput as `w` (window) and `k` (sample bits) vary.
+//!
+//! The throughput column is wall-clock time, so the grid runs as a plain
+//! serial loop rather than on the [`campaign`](crate::campaign)
+//! executor: each cell is timed with no other cell competing for the
+//! CPU, and the column measures the encoder rather than contention.
 
 use std::time::Instant;
 
@@ -16,7 +21,7 @@ use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
-use crate::report::{parallel_map, Table};
+use crate::report::Table;
 
 /// One (w, k) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,41 +48,43 @@ pub fn run(object_size: usize, windows: &[usize], sample_bits: &[u32]) -> Vec<Tu
         dst: Ipv4Addr::new(10, 0, 0, 2),
         dst_port: 4000,
     };
-    let mut cells = Vec::new();
-    for &w in windows {
-        for &k in sample_bits {
-            cells.push((w, k));
+    let mut points = Vec::new();
+    for &window in windows {
+        for &bits in sample_bits {
+            points.push(point(&object, flow, window, bits));
         }
     }
-    parallel_map(cells, move |(window, bits)| {
-        let config = DreConfig {
-            window,
-            sample_bits: bits,
-            ..DreConfig::default()
+    points
+}
+
+fn point(object: &[u8], flow: FlowId, window: usize, bits: u32) -> TuningPoint {
+    let config = DreConfig {
+        window,
+        sample_bits: bits,
+        ..DreConfig::default()
+    };
+    let mut enc = Encoder::new(config, PolicyKind::Naive.build());
+    let started = Instant::now();
+    let mut seq = 1u32;
+    for chunk in object.chunks(MSS) {
+        let meta = PacketMeta {
+            flow,
+            seq: SeqNum::new(seq),
+            payload_len: chunk.len(),
+            flow_index: 0,
         };
-        let mut enc = Encoder::new(config, PolicyKind::Naive.build());
-        let started = Instant::now();
-        let mut seq = 1u32;
-        for chunk in object.chunks(MSS) {
-            let meta = PacketMeta {
-                flow,
-                seq: SeqNum::new(seq),
-                payload_len: chunk.len(),
-                flow_index: 0,
-            };
-            enc.encode(&meta, &Bytes::copy_from_slice(chunk));
-            seq = seq.wrapping_add(chunk.len() as u32);
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        let stats = enc.stats();
-        TuningPoint {
-            window,
-            sample_bits: bits,
-            redundancy: stats.redundancy_fraction(),
-            byte_ratio: stats.byte_ratio(),
-            encode_mbps: stats.bytes_in as f64 / 1e6 / elapsed.max(1e-9),
-        }
-    })
+        enc.encode(&meta, &Bytes::copy_from_slice(chunk));
+        seq = seq.wrapping_add(chunk.len() as u32);
+    }
+    let elapsed = started.elapsed().as_secs_f64();
+    let stats = enc.stats();
+    TuningPoint {
+        window,
+        sample_bits: bits,
+        redundancy: stats.redundancy_fraction(),
+        byte_ratio: stats.byte_ratio(),
+        encode_mbps: stats.bytes_in as f64 / 1e6 / elapsed.max(1e-9),
+    }
 }
 
 /// Render the grid.

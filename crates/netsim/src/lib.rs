@@ -59,5 +59,5 @@ pub use node::{Action, Context, Node, NodeId};
 pub use sim::{AsAny, Simulator};
 pub use stats::LinkStats;
 pub use topology::{Hop, Mobility, Topology};
-pub use trace::{FnTrace, TelemetrySink, TraceEvent, TraceSink};
+pub use trace::{FnTrace, TraceEvent, TraceSink};
 pub use wheel::{replay_schedule, replay_schedule_with, QueueKind, ScheduleOp};

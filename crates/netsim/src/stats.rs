@@ -36,19 +36,6 @@ impl LinkStats {
             self.packets_lost as f64 / self.packets_offered as f64
         }
     }
-
-    /// Fold another counter set into this one (used when aggregating
-    /// across links or runs).
-    pub fn merge(&mut self, other: &LinkStats) {
-        self.packets_offered += other.packets_offered;
-        self.bytes_offered += other.bytes_offered;
-        self.packets_delivered += other.packets_delivered;
-        self.bytes_delivered += other.bytes_delivered;
-        self.packets_lost += other.packets_lost;
-        self.packets_corrupted += other.packets_corrupted;
-        self.packets_reordered += other.packets_reordered;
-        self.packets_duplicated += other.packets_duplicated;
-    }
 }
 
 #[cfg(test)]
@@ -68,24 +55,5 @@ mod tests {
             ..LinkStats::default()
         };
         assert!((s.loss_rate() - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_adds_fieldwise() {
-        let mut a = LinkStats {
-            packets_offered: 1,
-            bytes_offered: 2,
-            packets_delivered: 3,
-            bytes_delivered: 4,
-            packets_lost: 5,
-            packets_corrupted: 6,
-            packets_reordered: 7,
-            packets_duplicated: 8,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.packets_offered, 2);
-        assert_eq!(a.bytes_delivered, 8);
-        assert_eq!(a.packets_reordered, 14);
-        assert_eq!(a.packets_duplicated, 16);
     }
 }

@@ -2,10 +2,9 @@
 //!
 //! The bucket layout is **fixed** (one bucket per power of two, 65
 //! buckets covering the full `u64` range), so merging two histograms is
-//! element-wise addition — exact, associative and commutative. This is
-//! the same contract the engine's `CacheStats::merge` relies on: a
-//! merge of shard-local recorders equals one global recorder fed the
-//! union of the samples, in any order and any grouping.
+//! element-wise addition — exact, associative and commutative: a merge
+//! of shard-local recorders equals one global recorder fed the union of
+//! the samples, in any order and any grouping.
 
 /// Number of buckets: bucket 0 holds the value `0`, bucket `i` (for
 /// `i >= 1`) holds values with bit length `i`, i.e. `[2^(i-1), 2^i)`.

@@ -10,8 +10,7 @@
 //!
 //! 1. **Exact merges.** Histograms use a fixed log-bucket layout
 //!    ([`hist::BUCKETS`] power-of-two buckets), so shard-local or
-//!    thread-local recorders merge by element-wise addition — the same
-//!    contract as the engine's `CacheStats::merge`. Merging is
+//!    thread-local recorders merge by element-wise addition. Merging is
 //!    associative, commutative, and equal to recording the union of
 //!    samples into one recorder.
 //! 2. **Cheap when off.** Every component owns a [`Recorder`] that

@@ -4,9 +4,8 @@
 //! Ownership model: every instrumented component (encoder shard,
 //! decoder shard, cache, simulator, TCP node) owns its *own* recorder —
 //! there is no shared global and no locking on the hot path. Snapshots
-//! are merged upward (shard → bank → gateway → harness) exactly like
-//! the engine's `EncoderStats::merge`/`CacheStats::merge`, and the
-//! fixed histogram layout makes the merge exact: merging shard-local
+//! are merged upward (component → gateway → harness), and the fixed
+//! histogram layout makes the merge exact: merging shard-local
 //! recorders produces the same state as one global recorder fed the
 //! union of the samples.
 //!

@@ -12,9 +12,10 @@
 //! under each of the paper's three fixes (which all recover).
 
 use bytecache::PolicyKind;
-use bytecache_experiments::stalltrace;
+use bytecache_experiments::{stalltrace, Campaign};
 
 fn main() {
+    let campaign = Campaign::default();
     for policy in [
         PolicyKind::Naive,
         PolicyKind::CacheFlush,
@@ -23,7 +24,7 @@ fn main() {
         PolicyKind::AckGated,
     ] {
         println!("──────────────────────────────────────────────────────");
-        for line in stalltrace::trace(policy, 6) {
+        for line in stalltrace::trace(&campaign, policy, 6).0 {
             println!("{line}");
         }
         println!();

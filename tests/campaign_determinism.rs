@@ -2,15 +2,16 @@
 //! byte-identical to the serial reference.
 //!
 //! The campaign executor's contract (see `campaign` module docs) is that
-//! thread count is invisible in the results — seeds are pure functions
-//! of cell identity and results return in input order. These tests pin
-//! that contract end-to-end through real simulations at reduced scale,
-//! and property-test the executor and seed derivation with cheap
-//! functions.
+//! thread count is invisible in the results — seeds are run indices and
+//! results (and telemetry snapshots) return in input order. These tests
+//! pin that contract end-to-end through real simulations at reduced
+//! scale, and property-test the executor with cheap functions.
 
 use bytecache::PolicyKind;
-use bytecache_experiments::campaign::{derive_seed, Campaign};
+use bytecache_experiments::campaign::Campaign;
 use bytecache_experiments::{fig6, sweep};
+use bytecache_telemetry::export::to_jsonl;
+use bytecache_telemetry::Recorder;
 use bytecache_workload::FileSpec;
 use proptest::prelude::*;
 
@@ -24,40 +25,42 @@ fn micro_sweep() -> sweep::SweepParams {
     }
 }
 
+/// A snapshot as `--metrics-out` writes it, minus the wall-clock spans.
+fn snapshot(mut rec: Recorder) -> String {
+    rec.strip_wall_clock();
+    to_jsonl(&rec, &[])
+}
+
 #[test]
 fn sweep_is_byte_identical_across_thread_counts() {
     let params = micro_sweep();
-    let reference = sweep::to_json(&sweep::run_with(&Campaign::serial(), &params));
+    let serial = Campaign::serial().with_telemetry(true);
+    let (points, rec) = sweep::run(&serial, &params);
+    let (reference, reference_rec) = (sweep::to_json(&points), snapshot(rec));
     for threads in [2, 8] {
-        let campaign = Campaign::default().with_threads(threads);
-        let json = sweep::to_json(&sweep::run_with(&campaign, &params));
-        assert_eq!(json, reference, "sweep diverged at threads={threads}");
+        let campaign = serial.clone().with_threads(threads);
+        let (points, rec) = sweep::run(&campaign, &params);
+        assert_eq!(
+            sweep::to_json(&points),
+            reference,
+            "sweep diverged at threads={threads}"
+        );
+        assert_eq!(
+            snapshot(rec),
+            reference_rec,
+            "sweep telemetry diverged at threads={threads}"
+        );
     }
 }
 
 #[test]
 fn fig6_is_byte_identical_across_thread_counts() {
-    let reference = fig6::to_json(&fig6::run_with(&Campaign::serial(), 4, 60_000, 0.03));
+    let reference = fig6::to_json(&fig6::run(&Campaign::serial(), 4, 60_000, 0.03).0);
     for threads in [2, 8] {
         let campaign = Campaign::default().with_threads(threads);
-        let json = fig6::to_json(&fig6::run_with(&campaign, 4, 60_000, 0.03));
+        let json = fig6::to_json(&fig6::run(&campaign, 4, 60_000, 0.03).0);
         assert_eq!(json, reference, "fig6 diverged at threads={threads}");
     }
-}
-
-#[test]
-fn nonzero_master_is_also_thread_count_invariant() {
-    // Determinism must come from the executor, not from the legacy
-    // identity seeds happening to collide.
-    let params = micro_sweep();
-    let serial = Campaign::serial().with_master_seed(0xC0FFEE);
-    let parallel = Campaign::default()
-        .with_threads(4)
-        .with_master_seed(0xC0FFEE);
-    assert_eq!(
-        sweep::to_json(&sweep::run_with(&serial, &params)),
-        sweep::to_json(&sweep::run_with(&parallel, &params))
-    );
 }
 
 proptest! {
@@ -68,27 +71,11 @@ proptest! {
         let campaign = Campaign::default().with_threads(threads);
         let expected: Vec<u64> = cells
             .iter()
-            .enumerate()
-            .map(|(i, &c)| u64::from(c).wrapping_mul(i as u64 + 1))
+            .map(|&c| u64::from(c).wrapping_mul(0x9E37_79B9))
             .collect();
-        let got = campaign.run_cells("prop", cells, |i, c| {
-            u64::from(c).wrapping_mul(i as u64 + 1)
+        let got = campaign.run_cells("prop", cells, |c| {
+            u64::from(c).wrapping_mul(0x9E37_79B9)
         });
         prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn derive_seed_is_pure_and_legacy_is_identity(master in any::<u64>(), cell in any::<u64>(), run in any::<u64>()) {
-        prop_assert_eq!(derive_seed(master, cell, run), derive_seed(master, cell, run));
-        prop_assert_eq!(derive_seed(0, cell, run), run);
-    }
-
-    #[test]
-    fn derive_seed_mixes_under_nonzero_master(master in 1u64..u64::MAX, cell in 0u64..1000, run in 0u64..1000) {
-        // Adjacent cells and runs must not share seeds under a real
-        // master (splitmix64 is a bijection, so equal outputs would
-        // need equal inputs).
-        prop_assert_ne!(derive_seed(master, cell, run), derive_seed(master, cell, run + 1));
-        prop_assert_ne!(derive_seed(master, cell, run), derive_seed(master, cell + 1, run));
     }
 }

@@ -20,12 +20,12 @@ fn quick_params() -> sweep::SweepParams {
 
 #[test]
 fn sweep_results_are_identical_with_telemetry_on() {
-    let campaign = Campaign::default();
     let params = quick_params();
-    let plain = sweep::run_with(&campaign, &params);
-    let (instrumented, metrics) = sweep::run_with_metrics(&campaign, &params);
+    let (plain, empty) = sweep::run(&Campaign::default(), &params);
+    let (instrumented, metrics) = sweep::run(&Campaign::default().with_telemetry(true), &params);
     // The serialized points — every float bit — must match.
     assert_eq!(sweep::to_json(&plain), sweep::to_json(&instrumented));
+    assert!(empty.is_empty(), "telemetry off collects nothing");
     // And the snapshot must actually contain the acceptance series.
     assert!(metrics.counter("encoder.packets") > 0);
     assert!(metrics.hist("flow.perceived_loss_bp").is_some());
@@ -62,10 +62,11 @@ fn sweep_results_are_identical_with_telemetry_on() {
 
 #[test]
 fn fig6_results_are_identical_with_telemetry_on() {
-    let campaign = Campaign::default();
-    let plain = fig6::run_with(&campaign, 3, 100_000, 0.02);
-    let (instrumented, metrics) = fig6::run_with_metrics(&campaign, 3, 100_000, 0.02);
+    let (plain, empty) = fig6::run(&Campaign::default(), 3, 100_000, 0.02);
+    let campaign = Campaign::default().with_telemetry(true);
+    let (instrumented, metrics) = fig6::run(&campaign, 3, 100_000, 0.02);
     assert_eq!(fig6::to_json(&plain), fig6::to_json(&instrumented));
+    assert!(empty.is_empty(), "telemetry off collects nothing");
     assert!(metrics.counter("tcp.segments_sent") > 0);
 }
 
