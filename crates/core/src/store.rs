@@ -313,13 +313,130 @@ enum Put {
     Replaced,
 }
 
+/// [`Region::PAGE`] groups in one allocation: the unit a region of a
+/// page or more is built from and gives back to the table's [`Pool`].
+type Page = Box<[Group; Region::PAGE]>;
+
+/// A region's groups, indexed `0..Region::count`.
+#[derive(Debug)]
+enum Groups {
+    /// Under a page: one allocation of the region's own.
+    Flat(Vec<Group>),
+    /// A whole number of pages, taken from and given back to the
+    /// table's [`Pool`]. A probe reads the page's address first: one
+    /// more load, from an array of a few hundred bytes a region.
+    Paged(Vec<Page>),
+}
+
+impl Groups {
+    /// `count` empty groups, pages drawn from `pool`.
+    fn new(count: usize, pool: &mut Pool) -> Self {
+        if count < Region::PAGE {
+            Groups::Flat(vec![Group::default(); count])
+        } else {
+            Groups::Paged((0..count / Region::PAGE).map(|_| pool.take()).collect())
+        }
+    }
+
+    /// Every group in index order, a page (or the flat region) at a
+    /// time.
+    fn chunks(&self) -> impl Iterator<Item = &[Group]> {
+        let (flat, pages): (&[Group], &[Page]) = match self {
+            Groups::Flat(groups) => (groups, &[]),
+            Groups::Paged(pages) => (&[], pages),
+        };
+        std::iter::once(flat).chain(pages.iter().map(|page| &page[..]))
+    }
+
+    /// Empty every group in place.
+    fn zero(&mut self) {
+        match self {
+            Groups::Flat(groups) => groups.fill(Group::default()),
+            Groups::Paged(pages) => pages
+                .iter_mut()
+                .for_each(|page| page.fill(Group::default())),
+        }
+    }
+}
+
+impl std::ops::Index<usize> for Groups {
+    type Output = Group;
+
+    #[inline]
+    fn index(&self, g: usize) -> &Group {
+        match self {
+            Groups::Flat(groups) => &groups[g],
+            Groups::Paged(pages) => &pages[g / Region::PAGE][g % Region::PAGE],
+        }
+    }
+}
+
+impl std::ops::IndexMut<usize> for Groups {
+    #[inline]
+    fn index_mut(&mut self, g: usize) -> &mut Group {
+        match self {
+            Groups::Flat(groups) => &mut groups[g],
+            Groups::Paged(pages) => &mut pages[g / Region::PAGE][g % Region::PAGE],
+        }
+    }
+}
+
+/// The pages a table's regions have given up, kept for the next region
+/// that grows. Every page is the same size, so any of them serves any
+/// later request. Freed to the allocator instead, they would be split
+/// by the packet store's small allocations, and the next doubling would
+/// extend the heap. Only [`FpTable::clear`] hands pages back, down to
+/// what the largest region holds.
+#[derive(Debug, Default)]
+struct Pool {
+    pages: Vec<Page>,
+    /// Pages taken from the allocator and not given back: the pool's
+    /// and every region's.
+    #[cfg(test)]
+    held: usize,
+}
+
+impl Pool {
+    /// An empty page: a pooled one if there is one, else a new one.
+    fn take(&mut self) -> Page {
+        if let Some(mut page) = self.pages.pop() {
+            page.fill(Group::default());
+            return page;
+        }
+        #[cfg(test)]
+        {
+            self.held += 1;
+        }
+        let page = vec![Group::default(); Region::PAGE].into_boxed_slice();
+        page.try_into().expect("a page's worth of groups")
+    }
+
+    /// Keep a region's pages for the next region that grows.
+    fn give(&mut self, groups: Groups) {
+        if let Groups::Paged(pages) = groups {
+            self.pages.extend(pages);
+        }
+    }
+
+    /// Hand pages back to the allocator until at most `pages` are left.
+    fn trim(&mut self, pages: usize) {
+        #[cfg(test)]
+        {
+            self.held -= self.pages.len().saturating_sub(pages);
+        }
+        self.pages.truncate(pages);
+    }
+}
+
 /// One of the [`FpTable::REGIONS`] parts of the fingerprint table: a
 /// group-linear open-addressing table of its own, holding the keys
 /// whose mixed fingerprint starts with the region's 6 bits.
 #[derive(Debug)]
 struct Region {
-    /// A power of two of them (slot count = groups × GROUP).
-    groups: Vec<Group>,
+    groups: Groups,
+    /// How many groups: a power of two (slot count = count × GROUP),
+    /// kept beside `groups` so that finding a key's home needs no match.
+    count: usize,
     len: usize,
     /// The cache's departure count when every entry here last resolved:
     /// at the region's creation, its last growth pass or its clear.
@@ -331,17 +448,28 @@ impl Region {
     const GROUP: usize = 4;
     /// 4 initial groups = 16 slots.
     const INITIAL_GROUPS: usize = 4;
+    /// Groups per [`Page`]: 1024 × 64 bytes = 64 KiB.
+    const PAGE: usize = 1024;
 
-    fn new(groups: usize, departures: u64) -> Self {
+    fn new(count: usize, departures: u64, pool: &mut Pool) -> Self {
         Region {
-            groups: vec![Group::default(); groups],
+            groups: Groups::new(count, pool),
+            count,
             len: 0,
             resolved_at: departures,
         }
     }
 
     fn slots(&self) -> usize {
-        self.groups.len() * Self::GROUP
+        self.count * Self::GROUP
+    }
+
+    /// Pages the region is built from; 0 under a page.
+    fn pages(&self) -> usize {
+        match &self.groups {
+            Groups::Flat(_) => 0,
+            Groups::Paged(pages) => pages.len(),
+        }
     }
 
     /// Smallest size that holds `entries` at no more than half the load
@@ -358,7 +486,7 @@ impl Region {
     /// sampler-zeroed bits of a fingerprint at the bottom).
     #[inline]
     fn home(&self, key: u64) -> usize {
-        (key >> (FpTable::KEY_BITS - self.groups.len().trailing_zeros())) as usize
+        (key >> (FpTable::KEY_BITS - self.count.trailing_zeros())) as usize
     }
 
     /// Whether one more entry would pass the 3/4 load limit.
@@ -371,7 +499,7 @@ impl Region {
     /// overwrite the entry holding its key. The load limit guarantees a
     /// free slot.
     fn put(&mut self, entry: Entry) -> Put {
-        let gmask = self.groups.len() - 1;
+        let gmask = self.count - 1;
         let home = self.home(entry.key());
         let mut g = home;
         loop {
@@ -392,7 +520,7 @@ impl Region {
     }
 
     fn get(&self, key: u64) -> Option<(SlotRef, u16)> {
-        let gmask = self.groups.len() - 1;
+        let gmask = self.count - 1;
         let tag = 1 << FpTable::KEY_BITS | key;
         let mut g = self.home(key);
         loop {
@@ -424,20 +552,24 @@ impl Region {
     /// since `resolved_at`, nothing here can be stale and the purge is
     /// skipped: it would be an identity, since without a deletion every
     /// entry goes back into the slot it was lifted from. Returns
-    /// whether it purged.
-    fn grow(&mut self, arena: &[Slot], departures: u64) -> bool {
+    /// whether it purged. A doubling's new pages come from `pool` and
+    /// its old ones go back there.
+    fn grow(&mut self, arena: &[Slot], departures: u64, pool: &mut Pool) -> bool {
         let purge = departures != self.resolved_at;
         if purge {
             self.purge(arena);
         }
         self.resolved_at = departures;
         if self.len * 8 > self.slots() * 3 {
-            let old = std::mem::replace(self, Region::new(self.groups.len() * 2, departures));
-            for entry in old.groups.iter().flat_map(|g| g.0) {
-                if entry.head != 0 {
-                    self.put(entry);
+            let old = std::mem::replace(self, Region::new(self.count * 2, departures, pool));
+            for chunk in old.groups.chunks() {
+                for entry in chunk.iter().flat_map(|g| g.0) {
+                    if entry.head != 0 {
+                        self.put(entry);
+                    }
                 }
             }
+            pool.give(old.groups);
         }
         purge
     }
@@ -454,22 +586,46 @@ impl Region {
     /// home and the slot it came from: the slots before it are final,
     /// the one it left is free, and no chain spans the starting gap.
     /// The pass is sequential over the region and allocates nothing.
+    ///
+    /// The slots a group holds are lifted together, then put back one
+    /// by one. That places every entry where lifting one slot at a time
+    /// would: the entry from slot `i` lands in the first free slot from
+    /// its home on, which is `i` at the latest, so whether the slots
+    /// after `i` are free yet does not matter. An entry whose home is
+    /// the group it was lifted from — all but the spilled ones — goes
+    /// straight to that group's first free slot, which is what
+    /// [`put`](Self::put) would choose.
     fn purge(&mut self, arena: &[Slot]) {
-        let mask = self.slots() - 1;
+        let slots = self.slots();
         let at = |i: usize| (i / Self::GROUP, i % Self::GROUP);
-        let Some(start) = (0..=mask).find(|&i| {
+        let Some(start) = (0..slots).find(|&i| {
             let (g, s) = at(i);
             self.groups[g].0[s].head == 0
         }) else {
             return; // unreachable below the load limit
         };
         self.len = 0;
-        for step in 1..=mask {
-            let (g, s) = at((start + step) & mask);
-            let entry = std::mem::take(&mut self.groups[g].0[s]);
-            if entry.head != 0 && resolve(arena, entry.slot).is_some() {
-                self.put(entry);
+        let mut step = 1;
+        while step < slots {
+            let (g, s) = at((start + step) & (slots - 1));
+            let run = (Self::GROUP - s).min(slots - step);
+            let group = &mut self.groups[g].0[s..s + run];
+            let mut lifted = [Entry::default(); Self::GROUP];
+            lifted[..run].copy_from_slice(group);
+            group.fill(Entry::default());
+            for &entry in &lifted[..run] {
+                if entry.head == 0 || resolve(arena, entry.slot).is_none() {
+                    continue;
+                }
+                if self.home(entry.key()) == g {
+                    let group = &mut self.groups[g];
+                    group.0[Group::first(group.matching(0))] = entry;
+                    self.len += 1;
+                } else {
+                    self.put(entry);
+                }
             }
+            step += run;
         }
     }
 
@@ -479,12 +635,18 @@ impl Region {
     /// epoch. A sparse one — more than 16 slots per entry held — is
     /// replaced by a region sized for what it held: zeroing megabytes
     /// to forget the 30 packets since the last flush was the largest
-    /// single cost of the Cache Flush policy.
-    fn clear(&mut self, departures: u64) {
+    /// single cost of the Cache Flush policy. The pages it gives up go
+    /// to `pool`.
+    fn clear(&mut self, departures: u64, pool: &mut Pool) {
         if self.slots() > 16 * self.len.max(1) {
-            *self = Region::new(Self::groups_for(self.len), departures);
+            let count = Self::groups_for(self.len);
+            pool.give(std::mem::replace(
+                &mut self.groups,
+                Groups::Flat(Vec::new()),
+            ));
+            *self = Region::new(count, departures, pool);
         } else {
-            self.groups.fill(Group::default());
+            self.groups.zero();
             self.len = 0;
             self.resolved_at = departures;
         }
@@ -513,11 +675,24 @@ impl Region {
 /// 6 bits of the mixed key pick one of [`Self::REGIONS`] regions and
 /// the other 47 are the key inside it. Which region an entry sits in is
 /// thus the 6 bits its word does not hold. Each [`Region`] is a table of
-/// its own — its own allocation, load limit and growth — so making room
-/// is a pass over 1/64 of the table, a doubling holds 1/64 of the table
-/// twice rather than all of it, and the chunks it frees are the size
-/// the next region's doubling asks for. Keys that crowd one region grow
-/// that region alone.
+/// its own — its own load limit and growth — so making room is a pass
+/// over 1/64 of the table, a doubling holds 1/64 of the table twice
+/// rather than all of it, and keys that crowd one region grow that
+/// region alone.
+///
+/// # Pages
+///
+/// A region of a page or more is built from 64 KiB [`Page`]s, and every
+/// page a doubling or a shrinking clear gives up waits in the table's
+/// [`Pool`] for the next region that grows. Whole regions used to go
+/// back to the allocator, and the chunks a doubling freed did not serve
+/// the next one: the packet store's small allocations split them first,
+/// so each doubling extended the heap. On the `gw_fresh_256` benchmark
+/// 147 MiB of a 552 MiB process sat free but stranded after warm-up.
+/// With the pool the table holds at most its regions plus one region's
+/// pages, at the price of one more load per probe: the page's address.
+/// The pool never keeps more pages than the largest region holds, so a
+/// flush that shrinks every region hands the rest back.
 ///
 /// # Sizing
 ///
@@ -541,6 +716,8 @@ struct FpTable {
     purges: u64,
     /// Inserts that placed a new key outside its home group.
     spills: u64,
+    /// Pages the regions gave up, for the next one that grows.
+    pool: Pool,
 }
 
 impl FpTable {
@@ -553,11 +730,13 @@ impl FpTable {
     const KEY_MASK: u64 = (1 << Self::KEY_BITS) - 1;
 
     fn new() -> Self {
+        let mut pool = Pool::default();
         FpTable {
-            regions: std::array::from_fn(|_| Region::new(Region::INITIAL_GROUPS, 0)),
+            regions: std::array::from_fn(|_| Region::new(Region::INITIAL_GROUPS, 0, &mut pool)),
             rehashes: 0,
             purges: 0,
             spills: 0,
+            pool,
         }
     }
 
@@ -617,12 +796,13 @@ impl FpTable {
     ) -> bool {
         assert!(fp >> Self::FP_BITS == 0, "fingerprints are 53-bit");
         let (region, key) = Self::locate(fp);
-        let region = &mut self.regions[region];
-        if region.at_load_limit() {
+        if self.regions[region].at_load_limit() {
             self.rehashes += 1;
-            self.purges += u64::from(region.grow(arena, departures));
+            let purged = self.regions[region].grow(arena, departures, &mut self.pool);
+            self.purges += u64::from(purged);
+            debug_assert!(self.pool.pages.len() <= self.largest_region_pages());
         }
-        match region.put(Entry::new(key, slot, offset)) {
+        match self.regions[region].put(Entry::new(key, slot, offset)) {
             Put::New { spilled } => {
                 self.spills += u64::from(spilled);
                 false
@@ -642,9 +822,26 @@ impl FpTable {
     }
 
     /// Drop every entry, at a cost proportional to how many there were
-    /// (see [`Region::clear`]).
+    /// (see [`Region::clear`]), and keep no more pooled pages than the
+    /// largest region now holds.
     fn clear(&mut self, departures: u64) {
-        self.regions.iter_mut().for_each(|r| r.clear(departures));
+        let pool = &mut self.pool;
+        self.regions
+            .iter_mut()
+            .for_each(|r| r.clear(departures, pool));
+        self.pool.trim(self.largest_region_pages());
+    }
+
+    /// The most pages any one region holds: what the pool may keep.
+    /// A doubling of a region of `n` pages takes `2n` and gives back
+    /// `n`, so growth alone keeps the pool within this bound.
+    fn largest_region_pages(&self) -> usize {
+        self.regions.iter().map(Region::pages).max().unwrap_or(0)
+    }
+
+    /// Slots in pooled pages: memory the table holds but no region uses.
+    fn pooled_slots(&self) -> usize {
+        self.pool.pages.len() * Region::PAGE * Region::GROUP
     }
 }
 
@@ -886,6 +1083,10 @@ impl Cache {
         rec.gauge("cache.bytes_used", self.bytes_used as u64);
         rec.gauge("cache.entries", self.live as u64);
         rec.gauge("cache.fp_slots", self.fingerprints.slots() as u64);
+        rec.gauge(
+            "cache.fp_pool_slots",
+            self.fingerprints.pooled_slots() as u64,
+        );
         rec.gauge("cache.fp_entries", self.fingerprints.len() as u64);
         rec.count("cache.fp_rehashes", self.fingerprints.rehashes);
         rec.count("cache.fp_purges", self.fingerprints.purges);
@@ -1174,20 +1375,32 @@ impl Cache {
     /// the referenced stored-payload line toward the cache. A hit in
     /// the probe loop immediately dereferences both for match
     /// extension, and those two dependent loads are otherwise demand
-    /// misses on the serial path. Purely a hint: stale generations and
-    /// dead entries are prefetched harmlessly and re-checked by the
-    /// real lookup.
+    /// misses on the serial path. Purely a hint: dead entries are
+    /// prefetched harmlessly and re-checked by the real lookup.
+    ///
+    /// A stale handle — most entries on a stream whose inserts replace —
+    /// stops at the slot, whose packet would be the wrong one. The
+    /// generation check that decides this picks what to read without a
+    /// branch: a branch would have to guess before the slot's line
+    /// arrives, and a wrong guess discards the work issued after it.
     #[inline]
     pub fn prefetch_candidate(&self, fingerprint: u64) {
-        if let Some((slot, offset)) = self.fingerprints.get(fingerprint) {
-            if let Some(s) = self.slots.get(slot.index as usize) {
-                if let Some(data) = s.data.as_ref() {
-                    let payload: &[u8] = &data.stored.payload;
-                    if let Some(&b) = payload.get(usize::from(offset)) {
-                        std::hint::black_box(b);
-                    }
-                }
-            }
+        let Some((slot, offset)) = self.fingerprints.get(fingerprint) else {
+            return;
+        };
+        let Some(s) = self.slots.get(slot.index as usize) else {
+            return;
+        };
+        let Some(data) = s.data.as_ref() else {
+            return;
+        };
+        let (bytes, at): (&[u8], usize) = std::hint::select_unpredictable(
+            s.gen == slot.gen,
+            (&data.stored.payload, usize::from(offset)),
+            (&[0], 0),
+        );
+        if let Some(&b) = bytes.get(at) {
+            std::hint::black_box(b);
         }
     }
 
@@ -1270,7 +1483,9 @@ impl Cache {
 mod tests {
     use super::*;
     use bytecache_rabin::Polynomial;
+    use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
+    use std::ops::Range;
 
     fn flow() -> FlowId {
         FlowId {
@@ -1321,21 +1536,28 @@ mod tests {
             .into()
     }
 
-    /// Heap bytes of the cache's fingerprint table.
+    /// Heap bytes of the cache's fingerprint table: its regions' groups
+    /// and its pooled pages.
     fn table_bytes(c: &Cache) -> usize {
-        let regions = &c.fingerprints.regions;
-        regions
+        let t = &c.fingerprints;
+        let groups: usize = t
+            .regions
             .iter()
-            .map(|r| std::mem::size_of_val(r.groups.as_slice()))
-            .sum()
+            .map(|r| r.groups.chunks().flatten().count())
+            .sum();
+        let pooled = t.pool.pages.iter().map(|p| std::mem::size_of_val(&**p));
+        groups * std::mem::size_of::<Group>() + pooled.sum::<usize>()
     }
 
     /// Entries of the cache's fingerprint table that still resolve.
     fn live_fingerprints(c: &Cache) -> usize {
         let regions = &c.fingerprints.regions;
-        (regions.iter().flat_map(|r| &r.groups).flat_map(|g| g.0))
-            .filter(|e| e.head != 0 && resolve(&c.slots, e.slot).is_some())
-            .count()
+        (regions
+            .iter()
+            .flat_map(|r| r.groups.chunks().flatten())
+            .flat_map(|g| g.0))
+        .filter(|e| e.head != 0 && resolve(&c.slots, e.slot).is_some())
+        .count()
     }
 
     #[test]
@@ -2024,6 +2246,254 @@ mod tests {
         }
     }
 
+    /// A key whose home in a region of `count` groups is group `home`.
+    fn key_homed_at(home: usize, count: usize, seed: &mut u64) -> u64 {
+        let log2 = count.trailing_zeros();
+        (home as u64) << (FpTable::KEY_BITS - log2) | sampled_key(seed) >> log2 & !0xF
+    }
+
+    /// Whether one of the `reach` groups from group `from` on (wrapping)
+    /// holds an entry whose probe chain started in `homes`.
+    fn chain_reaches(region: &Region, from: usize, reach: usize, homes: Range<usize>) -> bool {
+        (from..from + reach).any(|g| {
+            let group = &region.groups[g % region.count];
+            group
+                .0
+                .iter()
+                .any(|e| e.head != 0 && homes.contains(&region.home(e.key())))
+        })
+    }
+
+    /// One region of an [`FpTable`] beside a `BTreeMap` model of it, over
+    /// a stand-in arena whose packets come and go.
+    struct PagedModel {
+        table: FpTable,
+        model: BTreeMap<u64, (SlotRef, u16)>,
+        arena: Vec<Slot>,
+        departures: u64,
+        step: u16,
+    }
+
+    impl PagedModel {
+        const REGION: usize = 17;
+
+        fn region(&self) -> &Region {
+            &self.table.regions[Self::REGION]
+        }
+
+        fn put(&mut self, key: u64) {
+            let fp = fp_in_region(Self::REGION, key);
+            let index = usize::from(self.step) % self.arena.len();
+            let slot = SlotRef {
+                index: index as u32,
+                gen: self.arena[index].gen,
+            };
+            let rehashes = self.table.rehashes;
+            let existed = self
+                .table
+                .insert(fp, slot, self.step, &self.arena, self.departures);
+            if self.table.rehashes != rehashes {
+                self.forget_stale();
+            }
+            assert_eq!(existed, self.model.insert(fp, (slot, self.step)).is_some());
+            self.step = self.step.wrapping_add(1);
+        }
+
+        /// Replace the packets in every `nth` slot of the arena.
+        fn evict(&mut self, nth: usize) {
+            for slot in self.arena.iter_mut().step_by(nth) {
+                slot.data = slot.vacate(&mut self.departures);
+            }
+        }
+
+        /// Run the region's growth pass: a purge, then a doubling if the
+        /// live entries still crowd it.
+        fn grow(&mut self) {
+            let region = &mut self.table.regions[Self::REGION];
+            region.grow(&self.arena, self.departures, &mut self.table.pool);
+            self.forget_stale();
+        }
+
+        fn clear(&mut self) {
+            self.table.clear(self.departures);
+            self.model.clear();
+        }
+
+        fn forget_stale(&mut self) {
+            let arena = &self.arena;
+            self.model.retain(|_, v| resolve(arena, v.0).is_some());
+        }
+
+        /// Every key the model holds, and nothing else, resolves.
+        fn check(&self, seed: &mut u64) {
+            for (&fp, &v) in &self.model {
+                assert_eq!(self.table.get(fp), Some(v), "fp {fp:#x}");
+            }
+            for _ in 0..64 {
+                let fp = fp_in_region(Self::REGION, sampled_key(seed));
+                assert_eq!(self.table.get(fp), self.model.get(&fp).copied());
+            }
+            assert_eq!(self.table.len(), self.model.len());
+        }
+
+        /// File six keys homed at the last group of every page, so their
+        /// chains run into the next page and, from the last page, wrap
+        /// to group 0. Returns how many boundaries a chain was seen to
+        /// cross, if the region kept its size meanwhile.
+        fn crowd_page_ends(&mut self, seed: &mut u64) -> usize {
+            let count = self.region().count;
+            let ends: Vec<usize> = (1..=count / Region::PAGE)
+                .map(|p| p * Region::PAGE - 1)
+                .collect();
+            for &end in &ends {
+                for _ in 0..6 {
+                    self.put(key_homed_at(end, count, seed));
+                }
+            }
+            if self.region().count != count {
+                return 0;
+            }
+            let region = self.region();
+            let crossed =
+                |&end: &usize| chain_reaches(region, end + 1, 8, end + 1 - Region::PAGE..end + 1);
+            ends.iter().filter(|end| crossed(end)).count()
+        }
+    }
+
+    #[test]
+    fn probe_chains_cross_pages_and_wrap_like_one_array() {
+        let mut seed = 0xB0A7_u64;
+        let mut m = PagedModel {
+            table: FpTable::new(),
+            model: BTreeMap::new(),
+            arena: arena(61),
+            departures: 0,
+            step: 0,
+        };
+        let mut crossings = 0;
+        let mut wrapped = 0;
+        for epoch in 0..3 {
+            // Grow the region to two pages and beyond, a few packets
+            // leaving now and then so that passes purge as well.
+            let pages = 2 << epoch;
+            while m.region().pages() < pages {
+                m.put(sampled_key(&mut seed));
+                if m.step.is_multiple_of(1009) {
+                    m.evict(7);
+                }
+            }
+            m.check(&mut seed);
+            for round in 0..8 {
+                let count = m.region().count;
+                crossings += m.crowd_page_ends(&mut seed);
+                let region = m.region();
+                wrapped += usize::from(
+                    region.count == count && chain_reaches(region, 0, 8, count - 8..count),
+                );
+                m.check(&mut seed);
+                // Packets leave, including some whose keys sit astride a
+                // boundary, and the purge compacts across it.
+                m.evict(3 + round % 4);
+                m.grow();
+                m.check(&mut seed);
+            }
+            // A dense clear zeroes the pages in place and keeps them.
+            let count = m.region().count;
+            m.clear();
+            assert_eq!(m.region().count, count);
+            m.check(&mut seed);
+            m.crowd_page_ends(&mut seed);
+            m.check(&mut seed);
+            // A sparse one gives them to the pool, and the table holds
+            // no more than its largest region again.
+            m.clear();
+            assert!(m.region().pages() < pages);
+            assert!(m.table.pool.pages.len() <= m.table.largest_region_pages());
+            m.check(&mut seed);
+        }
+        assert!(crossings >= 8 && wrapped >= 8, "{crossings} / {wrapped}");
+    }
+
+    #[test]
+    fn pages_come_back_through_the_pool() {
+        // Four regions take turns to double, three times each past one
+        // page; a flush empties three of them; they grow back. At every
+        // growth pass the pages taken from the allocator and not given
+        // back are at most the regions' pages plus one region's worth.
+        const REGIONS: [usize; 4] = [3, 22, 41, 60];
+        let arena = arena(1);
+        let mut table = FpTable::new();
+        let mut seed = 0xACC7_u64;
+        let in_use = |t: &FpTable| t.regions.iter().map(Region::pages).sum::<usize>();
+        let bounded = |t: &FpTable| t.pool.held <= in_use(t) + t.largest_region_pages();
+        let grow_to = |t: &mut FpTable, seed: &mut u64, region: usize, pages: usize| {
+            while t.regions[region].pages() < pages {
+                let rehashes = t.rehashes;
+                let fp = fp_in_region(region, sampled_key(seed));
+                t.insert(fp, SlotRef::default(), 0, &arena, 0);
+                if t.rehashes != rehashes {
+                    assert!(bounded(t), "{} held, {} in use", t.pool.held, in_use(t));
+                }
+            }
+        };
+        for pages in [1, 2, 4, 8] {
+            for region in REGIONS {
+                grow_to(&mut table, &mut seed, region, pages);
+            }
+        }
+        assert_eq!(in_use(&table), 4 * 8);
+        assert!(
+            table.pool.held < 2 * 4 * 8,
+            "growth reused the pages it freed"
+        );
+        // The first clear finds every region dense and keeps it. Then
+        // only region 3 fills again, so the second clear shrinks the
+        // other three and pools their 24 pages: it keeps 8.
+        let pooled = table.pool.pages.len();
+        table.clear(0);
+        assert_eq!((in_use(&table), table.pool.pages.len()), (4 * 8, pooled));
+        for _ in 0..3000 {
+            let fp = fp_in_region(3, sampled_key(&mut seed));
+            table.insert(fp, SlotRef::default(), 0, &arena, 0);
+        }
+        table.clear(0);
+        assert_eq!((in_use(&table), table.pool.pages.len()), (8, 8));
+        assert!(bounded(&table));
+        for region in &REGIONS[1..] {
+            grow_to(&mut table, &mut seed, *region, 8);
+        }
+        assert!(bounded(&table));
+        assert_eq!(table.pool.held, in_use(&table) + table.pool.pages.len());
+    }
+
+    #[test]
+    fn the_pool_gauge_counts_idle_pages_until_a_flush_hands_them_back() {
+        // One region grows to a page, then doubles to two and pools the
+        // one it left. A flush finds it dense and keeps it; the next
+        // finds it empty, shrinks it and returns all three pages.
+        let mut c = cache();
+        c.set_telemetry_enabled(true);
+        let a = c.insert(Bytes::from_static(b"resident"), flow(), SeqNum::new(0));
+        let pooled = |c: &Cache| c.telemetry_snapshot().gauge_value("cache.fp_pool_slots");
+        let mut seed = 0x9001_u64;
+        while c.fingerprints.regions[0].pages() < 2 {
+            assert_eq!(pooled(&c), Some(0));
+            c.index_fingerprint(fp_in_region(0, sampled_key(&mut seed)), a, 0);
+        }
+        let page = (Region::PAGE * Region::GROUP) as u64;
+        assert_eq!(pooled(&c), Some(page));
+        c.flush();
+        assert_eq!(
+            (c.fingerprints.regions[0].pages(), pooled(&c)),
+            (2, Some(page))
+        );
+        c.flush();
+        assert_eq!(
+            (c.fingerprints.regions[0].pages(), pooled(&c)),
+            (0, Some(0))
+        );
+    }
+
     proptest::proptest! {
         /// The IdTable (linear probing + backward-shift deletion) agrees
         /// with a BTreeMap model under random insert/remove/lookup
@@ -2097,8 +2567,9 @@ mod tests {
                         }
                     }
                     504..=509 => {
+                        let pool = &mut table.pool;
                         table.regions.iter_mut().for_each(|r| {
-                            r.grow(&arena, departures);
+                            r.grow(&arena, departures, pool);
                         });
                         model.retain(|_, v| live(&arena, v));
                     }

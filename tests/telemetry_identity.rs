@@ -44,6 +44,8 @@ fn sweep_results_are_identical_with_telemetry_on() {
         metrics.counter("cache.fp_rehashes") > 0,
         "120 KB outgrows 1024 slots"
     );
+    // No region grows to a page, so none gives one back to the pool.
+    assert_eq!(metrics.gauge_value("cache.fp_pool_slots"), Some(0));
     // Some inserts find their home group full, but most do not. The
     // decoders mirror the encoders' insertions, so both sides' spills
     // together stay under one side's count.
